@@ -8,10 +8,11 @@ Three measurements, one per hot-path layer (DESIGN.md "Hot path"):
   scheduler stall cannot land on only one of them, and the minimum is
   the closest observable to the true cost on a shared machine.
 - **doorbell** — 37-byte slot-announcement frames per second through a
-  real socketpair with a consuming reader thread, coalesced
-  (``send_frames``, 16 per sendmsg) vs frame-at-a-time
-  (``send_slot_frame``).  This isolates the syscall amortization the
-  SHMROS sender's drain-batch flush buys on small-message streams.
+  real socketpair with a consuming reader thread, on the production
+  encoder and decoder (``frames_to_parts`` into ``DoorbellDecoder``):
+  16 frames per encode-and-send vs one.  This isolates the syscall
+  amortization the SHMROS sender's drain-batch flush buys on
+  small-message streams.
 - **publish** — end-to-end SHMROS delivery rate (publish to callback,
   batching on) for a 64 B string and a 1 MB image, so the component
   wins above stay anchored to what the whole Python pipeline does.
@@ -88,28 +89,31 @@ def bench_field_access(number: int = 200_000, repeats: int = 7) -> dict:
 # ----------------------------------------------------------------------
 # Doorbell: coalesced vs frame-at-a-time
 # ----------------------------------------------------------------------
-def _doorbell_rate(batched: bool, total: int, batch_size: int = 16) -> float:
-    from repro.ros.transport import shm
+BATCH_SIZE = 16
+
+
+def _doorbell_rate(batch_size: int, total: int) -> float:
+    from repro.ros.transport import shm, tcpros
 
     tx, rx = socket.socketpair()
     seen = threading.Event()
 
     def consume() -> None:
-        reader = shm.DoorbellReader(rx)
-        for _ in range(total):
-            reader.read_frame()
+        decoder = shm.DoorbellDecoder()
+        decoded = 0
+        while decoded < total:
+            chunk = rx.recv(65536)
+            if not chunk:
+                return
+            decoded += len(decoder.feed(chunk))
         seen.set()
 
     reader_thread = threading.Thread(target=consume, daemon=True)
     reader_thread.start()
+    frames = [("slot", 1, seq, 64, 0, 0) for seq in range(batch_size)]
     start = time.perf_counter()
-    if batched:
-        frame = [("slot", 1, seq, 64, 0, 0) for seq in range(batch_size)]
-        for _ in range(total // batch_size):
-            shm.send_frames(tx, frame)
-    else:
-        for seq in range(total):
-            shm.send_slot_frame(tx, 1, seq, 64)
+    for _ in range(total // batch_size):
+        tcpros.send_parts(tx, shm.frames_to_parts(None, frames))
     seen.wait(60)
     elapsed = time.perf_counter() - start
     tx.close()
@@ -120,11 +124,11 @@ def _doorbell_rate(batched: bool, total: int, batch_size: int = 16) -> float:
 def bench_doorbell(total: int = 64_000, repeats: int = 3) -> dict:
     batched = unbatched = 0.0
     for _ in range(repeats):  # interleaved, best-of
-        batched = max(batched, _doorbell_rate(True, total))
-        unbatched = max(unbatched, _doorbell_rate(False, total))
+        batched = max(batched, _doorbell_rate(BATCH_SIZE, total))
+        unbatched = max(unbatched, _doorbell_rate(1, total))
     return {
         "frames": total,
-        "batch_size": 16,
+        "batch_size": BATCH_SIZE,
         "batched_frames_per_s": round(batched),
         "unbatched_frames_per_s": round(unbatched),
         "speedup": round(batched / unbatched, 3),

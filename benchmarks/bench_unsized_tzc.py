@@ -17,9 +17,12 @@ Two sections, both folded into ``BENCH_fig13.json`` by ``snapshot.py``:
     serialize, frame, read, generated deserialize -- against the TZC
     split -- no serialization, control segment plus bulk iovecs sent in
     one vectored syscall, reassembled straight into an adopted SFM
-    buffer.  Ping-pong over a loopback socketpair; each sample covers
-    encode + send + receive + decode, acknowledged by the consumer
-    after the decode so both costs land inside the sample.
+    buffer.  Both arms run the production encoder and incremental
+    decoder of their wire format (``frame_parts`` into ``FrameDecoder``,
+    ``split_batch_parts`` into ``SplitDecoder``), read the way a stream
+    link reads.  Ping-pong over a loopback socketpair; each sample
+    covers encode + send + receive + decode, acknowledged by the
+    consumer after the decode so both costs land inside the sample.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import threading
 import time
 
 from repro.bench.stats import LatencyStats, summarize
+from repro.ros.reactor import FrameDecoder
 from repro.ros.transport import shm, tcpros, tzc
 
 
@@ -154,6 +158,20 @@ def _make_sfm_image():
     return msg
 
 
+def _recv_event(sock, decoder, scratch: memoryview) -> tuple:
+    """Block for the next decoder event, reading the way a stream link
+    does: ``recv_into`` a fixed buffer, feed the filled slice.  (The
+    ping-pong keeps one message in flight, so a feed completes at most
+    one.)"""
+    while True:
+        count = sock.recv_into(scratch)
+        if not count:
+            raise ConnectionError("producer closed mid-benchmark")
+        events = decoder.feed(scratch[:count])
+        if events:
+            return events[0]
+
+
 def _pingpong(iterations: int, produce, consume) -> list[float]:
     """Measure ``iterations`` produce->consume round trips; the consumer
     acknowledges only after its decode, so the sample covers the whole
@@ -202,12 +220,17 @@ def run_tzc_remote(iterations: int) -> dict:
     plain = _make_plain_image()
     ros_codec = RosCodec(type(plain))
 
+    scratch = memoryview(bytearray(65536))
+    frame_decoder = FrameDecoder()
+
     def classic_produce(sock) -> None:
         wire, _release = ros_codec.encode(plain)
-        tcpros.write_frame(sock, wire)
+        tcpros.send_parts(sock, tcpros.frame_parts([wire]))
 
     def classic_consume(sock) -> None:
-        wire = tcpros.read_frame(sock)
+        _kind, wire, _trace, _stamp = _recv_event(
+            sock, frame_decoder, scratch
+        )
         ros_codec.decode(wire)
 
     classic = summarize(
@@ -219,19 +242,21 @@ def run_tzc_remote(iterations: int) -> dict:
     sfm_msg = _make_sfm_image()
     sfm_codec = SfmCodec(type(sfm_msg))
     layout = type(sfm_msg)._layout
-    budget = tzc.BulkBudget()
+    split_decoder = tzc.SplitDecoder(tzc.BulkBudget())
 
     def tzc_produce(sock) -> None:
         payload, release = sfm_codec.encode(sfm_msg)
         try:
             parts = tzc.split_message(layout, payload, len(payload))
-            tzc.send_split(sock, parts)
+            tcpros.send_parts(sock, tzc.split_batch_parts([(parts, 0, 0)]))
         finally:
             if release is not None:
                 release()
 
     def tzc_consume(sock) -> None:
-        buffer, order, _trace, _stamp = tzc.read_split(sock, budget)
+        _kind, buffer, order, _trace, _stamp = _recv_event(
+            sock, split_decoder, scratch
+        )
         sfm_codec.decode_adopted(buffer, order)
 
     split = summarize(

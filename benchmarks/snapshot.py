@@ -31,10 +31,10 @@ concurrent ws subscribers plus the slow-client eviction witness) and
 writes ``BENCH_fleet.json``.
 
 ``--experiment reactor`` runs ``bench_reactor.py`` (bridge fan-out at
-768 raw-socket subscribers, reactor vs thread-per-connection, plus the
-1000-subscription sustain witness) and writes ``BENCH_reactor.json``;
-the recorded ``meets_floor`` verdict (>= 2x per-connection throughput
-and a clean sustain) is what CI gates.
+768 raw-socket subscribers plus the 1000-subscription sustain witness)
+and writes ``BENCH_reactor.json``; CI gates the recorded ``meets_floor``
+verdict (the fan-out within its thread bound and a clean sustain) and
+the per-connection delivery rate.
 
 ``--experiment graphplane`` runs ``bench_graphplane.py`` (shard-leader
 kill/promote rounds with recovery stats and zero-loss accounting, plus
@@ -349,13 +349,10 @@ def main(argv=None) -> int:
         out.write_text(json.dumps(payload, indent=2) + "\n")
         fanout = payload["fanout"]
         print(
-            f"reactor fan-out at {fanout['reactor']['clients']} clients: "
-            f"{fanout['reactor']['msgs_per_conn_per_s']:.0f} msg/conn/s "
-            f"on {fanout['reactor']['threads_during']} threads vs "
-            f"{fanout['threaded']['msgs_per_conn_per_s']:.0f} on "
-            f"{fanout['threaded']['threads_during']} "
-            f"({payload['speedup_per_conn']:.2f}x; floor "
-            f"{payload['speedup_floor']:.1f}x)"
+            f"reactor fan-out at {fanout['clients']} clients: "
+            f"{fanout['msgs_per_conn_per_s']:.0f} msg/conn/s on "
+            f"{fanout['threads_during']} threads "
+            f"(bound {payload['thread_bound']})"
         )
         sustain = payload["sustain"]
         print(

@@ -10,10 +10,11 @@ serialization-free middleware)::
     ...                                                |
                                                        +--- _Advertisement --- Publisher
 
-- one **_ClientSession** per connection: a reader thread parsing frames
-  and a writer thread draining that client's shared fan-out queue (all of
-  its subscriptions feed one bounded queue, like the per-link queues of
-  :mod:`repro.ros.topic`);
+- one **_ClientSession** per connection: a reactor stream link whose
+  decoded frames dispatch ops on the worker pool, and a pump draining
+  that client's shared fan-out queue into the link's write buffer (all
+  of its subscriptions feed one bounded queue, like the per-link queues
+  of :mod:`repro.ros.topic`);
 - one **_TopicTap** per (topic, class flavour): a single *raw* internal
   subscription whose payload bytes fan out to every bridge subscription,
   so the graph-side cost is paid once regardless of client count;
@@ -107,7 +108,7 @@ class _Subscription:
         self.dropped = 0
         self.throttled = 0
         #: Deliveries currently sitting in the session queue (guarded by
-        #: the session condition) -- keeps the bound check O(1).
+        #: the session lock) -- keeps the bound check O(1).
         self.queued = 0
         self._last_send = 0.0
 
@@ -167,7 +168,7 @@ class _TopicTap:
             return not self._subs
 
     # ------------------------------------------------------------------
-    # Fan-out (runs on the internal subscriber's receive thread)
+    # Fan-out (runs on the internal subscriber's delivery queue)
     # ------------------------------------------------------------------
     def _on_raw(self, payload: bytes) -> None:
         with self._lock:
@@ -182,7 +183,7 @@ class _TopicTap:
         for sub in subs:
             if sub.throttle(now):
                 continue
-            # Nothing may escape into the internal receive thread: an
+            # Nothing may escape into the internal delivery queue: an
             # uncaught error would kill the shared inbound link and
             # silence every other subscription on this tap.  Report the
             # failure to the offending client and drop its subscription.
@@ -313,14 +314,15 @@ class _Advertisement:
 
 
 class _ClientSession:
-    """One connected bridge client: reader + writer thread pair around a
+    """One connected bridge client: a reactor stream link around a
     shared bounded fan-out queue.
 
     The class is also the transport seam of the gateway: the queue,
     dispatch and close machinery are framing-agnostic, and subclasses
     (the WebSocket and SSE sessions of :mod:`repro.bridge.ws`) override
-    the ``_handshake`` / ``_recv_unit`` / ``_write_unit`` hooks to speak
-    a different wire while reusing every op handler unchanged.
+    the ``_handshake`` / ``_make_decoder`` / ``_handle_units`` /
+    ``_unit_parts`` hooks to speak a different wire while reusing every
+    op handler unchanged.
     """
 
     #: Transport label surfaced through describe()/stats_snapshot().
@@ -348,19 +350,18 @@ class _ClientSession:
         #: Deliveries shed by the session watermark (any subscription).
         self.shed = 0
         #: Consecutive sheds/drops with no write progress in between --
-        #: the eviction trigger.  Reset whenever the writer thread gets
-        #: a unit onto the socket, so a bursty-but-draining client is
-        #: forgiven while a wedged one (writer blocked in sendall)
-        #: accumulates strikes until eviction.
+        #: the eviction trigger.  Reset whenever a unit batch reaches
+        #: the kernel, so a bursty-but-draining client is forgiven while
+        #: a wedged one (write buffer never flushing) accumulates strikes
+        #: until eviction.
         self._strikes = 0
         self._delivery_depth = 0
         self._queue: deque = deque()
-        self._condition = threading.Condition()
+        self._lock = threading.Lock()
         self._frag_ids = itertools.count(1)
         self._reassembler = protocol.Reassembler(
             sequential=self.reassembler_sequential
         )
-        self._reader = self._writer = None
         self._rlink = None
         self._serial = None
         self._pump_scheduled = False
@@ -368,29 +369,12 @@ class _ClientSession:
         #: further units wait in ``_queue`` so the shed/evict policy
         #: still sees the backlog of a stalled client.
         self._inflight = False
-        self._reactor = reactor_mod.reactor_enabled()
-        if self._reactor:
-            self._loop = reactor_mod.global_reactor()
-            self._loop.spawn_blocking(
-                self._start_reactor, name=f"bridge-hs:{peer}"
-            )
-        else:
-            self._reader = threading.Thread(
-                target=self._read_loop, daemon=True,
-                name=f"bridge-read:{peer}",
-            )
-            self._writer = threading.Thread(
-                target=self._write_loop, daemon=True,
-                name=f"bridge-write:{peer}",
-            )
-            self._reader.start()
-            self._writer.start()
+        self._loop = reactor_mod.global_reactor()
+        self._loop.spawn_blocking(self._start, name=f"bridge-hs:{peer}")
 
-    # ------------------------------------------------------------------
-    # Reactor path: handshake on a transient spawn, then the socket
-    # joins the shared loop (no per-session threads).
-    # ------------------------------------------------------------------
-    def _start_reactor(self) -> None:
+    def _start(self) -> None:
+        """Handshake on a transient spawn, then the socket joins the
+        shared loop (no per-session threads)."""
         try:
             self._handshake()
         except (ConnectionError, OSError, BridgeProtocolError):
@@ -426,7 +410,7 @@ class _ClientSession:
             return
         # Units enqueued during the handshake (hello_ok at least) were
         # parked; kick the pump now that the link exists.
-        with self._condition:
+        with self._lock:
             kick = bool(self._queue) and not self._pump_scheduled
             if kick:
                 self._pump_scheduled = True
@@ -468,7 +452,7 @@ class _ClientSession:
 
     def _enqueue(self, sub: Optional[_Subscription], tag: int, body: bytes) -> None:
         evict_reason = None
-        with self._condition:
+        with self._lock:
             if self.closed:
                 return
             if sub is not None:
@@ -499,14 +483,9 @@ class _ClientSession:
                 sub.queued += 1
                 self._delivery_depth += 1
             self._queue.append((sub, tag, body))
-            schedule = (
-                self._reactor
-                and self._rlink is not None
-                and not self._pump_scheduled
-            )
+            schedule = self._rlink is not None and not self._pump_scheduled
             if schedule:
                 self._pump_scheduled = True
-            self._condition.notify()
         if schedule:
             self._loop.call_soon(self._pump)
         if evict_reason is not None:
@@ -514,7 +493,7 @@ class _ClientSession:
 
     def _drop_oldest_of(self, sub: _Subscription) -> None:
         """Shed the oldest queued delivery of one subscription (caller
-        holds the condition)."""
+        holds the lock)."""
         for index, (queued, _t, _b) in enumerate(self._queue):
             if queued is sub:
                 del self._queue[index]
@@ -525,7 +504,7 @@ class _ClientSession:
 
     def _shed_oldest(self) -> None:
         """Shed the oldest queued delivery of any subscription (caller
-        holds the condition)."""
+        holds the lock)."""
         for index, (queued, _t, _b) in enumerate(self._queue):
             if queued is not None:
                 del self._queue[index]
@@ -541,11 +520,11 @@ class _ClientSession:
     _PUMP_MAX_UNITS = 32
 
     def _pump(self) -> None:
-        """Reactor-mode writer: drain a bounded batch of units into the
-        stream link (runs on the loop thread)."""
+        """The writer: drain a bounded batch of units into the stream
+        link (runs on the loop thread)."""
         rlink = self._rlink
         units: list = []
-        with self._condition:
+        with self._lock:
             self._pump_scheduled = False
             if self._inflight or self.closed or rlink is None:
                 return
@@ -578,7 +557,7 @@ class _ClientSession:
             if sub is not None:
                 sub.sent += 1
                 sub.wire_bytes += wire
-        with self._condition:
+        with self._lock:
             self._inflight = False
             # Bytes reached the kernel: the client is draining, so its
             # accumulated shed strikes are forgiven.
@@ -610,46 +589,9 @@ class _ClientSession:
             wire += 4 + len(payload)
         return parts, wire
 
-    def _write_loop(self) -> None:
-        while True:
-            with self._condition:
-                while not self._queue and not self.closed:
-                    self._condition.wait()
-                if self.closed and not self._queue:
-                    return
-                sub, tag, body = self._queue.popleft()
-                if sub is not None:
-                    sub.queued -= 1
-                    self._delivery_depth -= 1
-            try:
-                wire = self._write_unit(tag, body)
-            except OSError:
-                self.server._drop_session(self)
-                return
-            if self._strikes:
-                # The socket accepted bytes: the client is draining, so
-                # its accumulated shed strikes are forgiven.
-                with self._condition:
-                    self._strikes = 0
-            if sub is not None:
-                sub.sent += 1
-                sub.wire_bytes += wire
-
-    def _write_unit(self, tag: int, body: bytes) -> int:
-        """Write one unit, fragmenting when it exceeds max_frame."""
-        if 5 + len(body) <= self.max_frame:
-            return protocol.write_bridge_frame(self.sock, tag, body)
-        wire = 0
-        frag_id = f"f{next(self._frag_ids)}"
-        for fragment in protocol.fragment_unit(tag, body, self.max_frame, frag_id):
-            wire += protocol.write_bridge_frame(
-                self.sock, TAG_JSON, protocol.encode_json_op(fragment)
-            )
-        return wire
-
     def describe(self) -> dict:
         """Per-client counters for stats_snapshot()/``tools top``."""
-        with self._condition:
+        with self._lock:
             depth = self._delivery_depth
             shed = self.shed
         subs = list(self.subscriptions.values())
@@ -667,10 +609,6 @@ class _ClientSession:
     # ------------------------------------------------------------------
     # Incoming frames
     # ------------------------------------------------------------------
-    def _recv_unit(self) -> tuple:
-        """Read one ``(tag, body)`` unit off the wire (transport hook)."""
-        return protocol.read_bridge_frame(self.sock)
-
     def _admit(self, kind: str) -> bool:
         """Rate-limit hook: may an op of this kind be processed?  The
         base session admits everything; ws sessions meter by op class."""
@@ -679,17 +617,6 @@ class _ClientSession:
     def _notify_eviction(self, reason: str) -> None:
         """Best-effort goodbye before an eviction close (transport hook;
         must never block -- the send queue is saturated by definition)."""
-
-    def _read_loop(self) -> None:
-        try:
-            self._handshake()
-            while not self.closed:
-                tag, body = self._recv_unit()
-                self._dispatch_unit(tag, body)
-        except (ConnectionError, OSError, BridgeProtocolError):
-            pass
-        finally:
-            self.server._drop_session(self)
 
     def _handshake(self) -> None:
         self.sock.settimeout(10.0)
@@ -702,8 +629,8 @@ class _ClientSession:
         if error is None and op.get("op") != "hello":
             error = f"expected hello, got {op.get('op')!r}"
         if error:
-            # Written synchronously: the session is about to die and the
-            # writer thread's queue would be discarded with it.
+            # Written synchronously: the session is about to die and its
+            # queue would be discarded with it.
             try:
                 protocol.write_bridge_frame(
                     self.sock, TAG_JSON,
@@ -780,12 +707,11 @@ class _ClientSession:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        with self._condition:
+        with self._lock:
             if self.closed:
                 return
             self.closed = True
             self._queue.clear()
-            self._condition.notify_all()
         if self._rlink is not None:
             self._rlink.close()
         # shutdown() (not just close()) so a reader blocked in recv on
@@ -835,21 +761,11 @@ class BridgeServer:
         self._listener.bind((host, port))
         self._listener.listen(256)
         self.host, self.port = self._listener.getsockname()
-        self._accept_thread = None
-        self._acceptor = None
-        if reactor_mod.reactor_enabled():
-            self._acceptor = reactor_mod.AcceptorLink(
-                self._listener, self._on_accept,
-                reactor=reactor_mod.global_reactor(),
-                label=f"bridge-accept:{self.port}",
-            )
-            self._acceptor.start()
-        else:
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True,
-                name=f"bridge-accept:{self.port}",
-            )
-            self._accept_thread.start()
+        self._acceptor = reactor_mod.AcceptorLink(
+            self._listener, self._on_accept,
+            label=f"bridge-accept:{self.port}",
+        )
+        self._acceptor.start()
         obs_instrument.track_bridge(self)
 
     @property
@@ -859,21 +775,10 @@ class BridgeServer:
     # ------------------------------------------------------------------
     # Accepting clients
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                sock, addr = self._listener.accept()
-            except OSError:
-                break
-            self._admit(sock, addr)
-
     def _on_accept(self, sock, addr) -> None:
         """AcceptorLink callback (loop thread, must not block): session
         construction only spawns the handshake."""
         sock.setblocking(True)
-        self._admit(sock, addr)
-
-    def _admit(self, sock, addr) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock = tcpros.wrap_socket(sock, "bridge", role="server")
         session = _ClientSession(self, sock, f"{addr[0]}:{addr[1]}")
@@ -1101,7 +1006,7 @@ class BridgeServer:
 
     def _op_call_service(self, session, op) -> None:
         # Service calls block on the remote handler; run them off the
-        # reader thread so one slow service cannot stall the session.
+        # worker pool so one slow service cannot stall the session.
         threading.Thread(
             target=self._call_service, args=(session, op), daemon=True,
             name=f"bridge-srv:{op['service']}",
@@ -1209,17 +1114,10 @@ class BridgeServer:
             frontend = self._ws_frontend
         if frontend is not None:
             frontend.close()
-        if self._acceptor is not None:
-            self._acceptor.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self._acceptor.close()
         for session in sessions:
             session.close()
         self.node.shutdown()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
 
     def __enter__(self) -> "BridgeServer":
         return self

@@ -141,14 +141,20 @@ def mask_payload(payload: bytes, key: bytes) -> bytes:
     ).to_bytes(length, "little")
 
 
-class WsConnection:
-    """One ws endpoint: buffered frame reads + serialized writes.
+def _close_payload(code: int, reason: str = "") -> bytes:
+    """A CLOSE frame's body: status code + (truncated) utf-8 reason."""
+    return struct.pack(">H", code) + reason.encode("utf-8")[:123]
 
-    ``require_mask`` is True on the server side (RFC 6455 section 5.1:
-    unmasked client frames MUST fail the connection) and clients send
-    with ``mask_writes=True``.  Control frames are handled inline --
-    PING answered, CLOSE echoed -- so callers only ever see data
-    messages.
+
+class WsConnection:
+    """One blocking ws endpoint (the client side of the front door):
+    buffered frame reads + serialized writes.
+
+    ``require_mask`` is True when reading client frames (RFC 6455
+    section 5.1: unmasked client frames MUST fail the connection) and
+    clients send with ``mask_writes=True``.  Control frames are handled
+    inline -- PING answered, CLOSE echoed -- so callers only ever see
+    data messages.
     """
 
     def __init__(self, sock: socket.socket, leftover: bytes = b"",
@@ -257,29 +263,11 @@ class WsConnection:
         return len(frame)
 
     def send_close(self, code: int, reason: str = "") -> None:
-        payload = struct.pack(">H", code) + reason.encode("utf-8")[:123]
-        self.send_frame(OP_CLOSE, payload)
-
-    def try_send_close(self, code: int, reason: str = "") -> None:
-        """Non-blocking close attempt for eviction: the writer thread may
-        hold the send lock while wedged in sendall on a saturated socket,
-        and the whole point of eviction is that this peer stopped
-        reading -- never wait on it."""
-        if not self._send_lock.acquire(blocking=False):
-            return
-        try:
-            self.sock.settimeout(0.0)
-            payload = struct.pack(">H", code) + reason.encode("utf-8")[:123]
-            self.sock.send(encode_frame(OP_CLOSE, payload,
-                                        mask=self._mask_writes))
-        except (BlockingIOError, OSError, ValueError):
-            pass
-        finally:
-            self._send_lock.release()
+        self.send_frame(OP_CLOSE, _close_payload(code, reason))
 
 
 class WsDecoder:
-    """Incremental RFC 6455 parser for the reactor path.
+    """Incremental RFC 6455 parser (the server side of the front door).
 
     The :class:`~repro.ros.reactor.StreamLink` feeds received chunks;
     ``feed`` returns the completed events:
@@ -292,9 +280,7 @@ class WsDecoder:
 
     PONGs are swallowed.  Protocol violations raise
     :class:`WsProtocolError` (carrying the close code to send), which
-    the stream link routes to its error handler.  Mirrors the blocking
-    :meth:`WsConnection.recv_message` state machine exactly so both
-    modes enforce the same frame discipline.
+    the stream link routes to its error handler.
     """
 
     __slots__ = ("_buffer", "_require_mask", "_max_payload", "_message",
@@ -486,13 +472,12 @@ class _WsSession(_ClientSession):
     reassembler_sequential = True
 
     def __init__(self, server, sock, peer, frontend,
-                 conn: WsConnection, leftover: bytes = b"") -> None:
+                 leftover: bytes = b"") -> None:
         self.frontend = frontend
-        self._conn = conn
         self._leftover = leftover
         self._buckets = frontend.make_buckets()
         # Policy knobs become *instance* attributes before the base
-        # constructor starts the reader/writer threads.
+        # constructor spawns the session start.
         self.default_queue_length = frontend.queue_length
         self.high_watermark = frontend.high_watermark
         self.evict_strikes = frontend.evict_strikes
@@ -503,7 +488,6 @@ class _WsSession(_ClientSession):
         # path; codec/max_frame arrive in-band via the hello op.
         pass
 
-    # -- reactor hooks --------------------------------------------------
     def _make_decoder(self):
         return WsDecoder(require_mask=True, max_payload=protocol.MAX_FRAME)
 
@@ -541,7 +525,12 @@ class _WsSession(_ClientSession):
             # Tell the peer *why* before tearing down (best-effort: the
             # socket is non-blocking under the reactor, so this cannot
             # wedge the worker).
-            self._conn.try_send_close(exc.code, str(exc)[:100])
+            try:
+                self.sock.send(encode_frame(
+                    OP_CLOSE, _close_payload(exc.code, str(exc)[:100])
+                ))
+            except (OSError, ValueError):
+                pass
         self.server._drop_session(self)
 
     def _unit_parts(self, tag: int, body) -> tuple[list, int]:
@@ -564,36 +553,6 @@ class _WsSession(_ClientSession):
             frame = encode_frame(OP_BINARY, bytes([tag]) + bytes(body))
         return [frame], len(frame)
 
-    # -- threaded hooks -------------------------------------------------
-    def _recv_unit(self):
-        try:
-            opcode, payload, _wire = self._conn.recv_message()
-        except WsProtocolError as exc:
-            self._conn.try_send_close(exc.code, str(exc)[:100])
-            raise
-        if opcode == OP_TEXT:
-            return TAG_JSON, payload
-        if opcode == OP_BINARY:
-            if not payload:
-                raise BridgeProtocolError("empty binary ws message")
-            return payload[0], payload[1:]
-        raise WsProtocolError(f"unsupported ws opcode {opcode:#x}")
-
-    def _write_unit(self, tag: int, body: bytes) -> int:
-        if 5 + len(body) > self.max_frame:
-            wire = 0
-            frag_id = f"f{next(self._frag_ids)}"
-            for fragment in protocol.fragment_unit(
-                tag, body, self.max_frame, frag_id
-            ):
-                wire += self._conn.send_frame(
-                    OP_TEXT, protocol.encode_json_op(fragment)
-                )
-            return wire
-        if tag == TAG_JSON:
-            return self._conn.send_frame(OP_TEXT, bytes(body))
-        return self._conn.send_frame(OP_BINARY, bytes([tag]) + bytes(body))
-
     def _admit(self, kind: str) -> bool:
         op_class = OP_CLASSES.get(kind)
         if op_class is None:
@@ -610,17 +569,15 @@ class _WsSession(_ClientSession):
             # Queue the goodbye *behind* any partially-written frame so
             # the stream stays well-formed; the write buffer is memory,
             # never a blocking send, which is all eviction requires.
-            payload = struct.pack(">H", CLOSE_OVERLOADED) + \
-                b"evicted: slow consumer"
-            self._rlink.write([encode_frame(OP_CLOSE, payload)])
-            return
-        self._conn.try_send_close(CLOSE_OVERLOADED, "evicted: slow consumer")
+            self._rlink.write([encode_frame(OP_CLOSE, _close_payload(
+                CLOSE_OVERLOADED, "evicted: slow consumer"
+            ))])
 
 
 class _SseSession(_ClientSession):
     """Subscribe-only fallback: deliveries stream as server-sent events.
 
-    The client never sends after the GET; the reader loop just watches
+    The client never sends after the GET; the stream link just watches
     for EOF so a vanished browser tears the session down."""
 
     transport = "sse"
@@ -636,7 +593,6 @@ class _SseSession(_ClientSession):
     def _handshake(self) -> None:
         pass
 
-    # -- reactor hooks --------------------------------------------------
     def _make_decoder(self):
         # Inbound bytes are ignored wholesale; only EOF matters (the
         # stream link reports it as a ConnectionError -> session drop).
@@ -650,21 +606,6 @@ class _SseSession(_ClientSession):
             return [], 0  # SSE subscriptions are forced to the json codec
         chunk = b"data: " + bytes(body) + b"\r\n\r\n"
         return [chunk], len(chunk)
-
-    # -- threaded hooks -------------------------------------------------
-    def _recv_unit(self):
-        while True:
-            data = self.sock.recv(4096)
-            if not data:
-                raise ConnectionError("sse client went away")
-            # Anything a "subscribe-only" client does send is ignored.
-
-    def _write_unit(self, tag: int, body: bytes) -> int:
-        if tag != TAG_JSON:
-            return 0  # SSE subscriptions are forced to the json codec
-        chunk = b"data: " + bytes(body) + b"\r\n\r\n"
-        self.sock.sendall(chunk)
-        return len(chunk)
 
     def _notify_eviction(self, reason: str) -> None:
         self.frontend.evictions += 1
@@ -709,28 +650,17 @@ class WsFrontend:
         self.evictions = 0
         self.rate_limited = {op_class: 0 for op_class in RATE_CLASSES}
         self._lock = threading.Lock()
-        self._closed = False
 
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(512)
         self.host, self.port = self._listener.getsockname()
-        self._accept_thread = None
-        self._acceptor = None
-        if reactor_mod.reactor_enabled():
-            self._acceptor = reactor_mod.AcceptorLink(
-                self._listener, self._on_accept,
-                reactor=reactor_mod.global_reactor(),
-                label=f"bridge-ws-accept:{self.port}",
-            )
-            self._acceptor.start()
-        else:
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True,
-                name=f"bridge-ws-accept:{self.port}",
-            )
-            self._accept_thread.start()
+        self._acceptor = reactor_mod.AcceptorLink(
+            self._listener, self._on_accept,
+            label=f"bridge-ws-accept:{self.port}",
+        )
+        self._acceptor.start()
 
     @property
     def url(self) -> str:
@@ -766,27 +696,14 @@ class WsFrontend:
             }
 
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                sock, addr = self._listener.accept()
-            except OSError:
-                break
-            # Same chaos seam as the TCP listener: FaultPlan rules on
-            # seam="bridge" (sever, corrupt, delay) reach ws clients too.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock = tcpros.wrap_socket(sock, "bridge", role="server")
-            threading.Thread(
-                target=self._handle_conn, args=(sock, addr), daemon=True,
-                name=f"bridge-ws-hs:{addr[0]}:{addr[1]}",
-            ).start()
-
     def _on_accept(self, sock, addr) -> None:
         """AcceptorLink callback (loop thread, must not block): the HTTP
         request read + upgrade runs on a transient spawn, exactly like
         the TCP bridge handshake."""
         sock.setblocking(True)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # Same chaos seam as the TCP listener: FaultPlan rules on
+        # seam="bridge" (sever, corrupt, delay) reach ws clients too.
         wrapped = tcpros.wrap_socket(sock, "bridge", role="server")
         reactor_mod.global_reactor().spawn_blocking(
             lambda: self._handle_conn(wrapped, addr),
@@ -882,10 +799,9 @@ class WsFrontend:
         )
         sock.sendall(response.encode("latin-1"))
         sock.settimeout(None)
-        conn = WsConnection(sock, leftover, require_mask=True)
         with self._lock:
             self.handshakes += 1
-        session = _WsSession(self.server, sock, f"ws:{peer}", self, conn,
+        session = _WsSession(self.server, sock, f"ws:{peer}", self,
                              leftover=leftover)
         self.server.register_session(session)
 
@@ -926,15 +842,7 @@ class WsFrontend:
             self.server.handle_op(session, op)
 
     def close(self) -> None:
-        self._closed = True
-        if self._acceptor is not None:
-            self._acceptor.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
+        self._acceptor.close()
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.chaos.sockets import ChaosSocket
+from repro.chaos.sockets import ChaosSocket, suspend_link
 from repro.ros.transport import shm, tcpros
 
 
@@ -175,7 +175,11 @@ class FaultPlan:
             return True
         name = action[0]
         if name == "delay":
-            time.sleep(action[1])
+            # On the loop the frame is queued at once but its link is
+            # suspended, so it leaves ``seconds`` late and no other link
+            # waits; off the loop there is nobody else to stall.
+            if not suspend_link(sock, action[1]):
+                time.sleep(action[1])
             return True
         if name in ("kill", "truncate"):
             try:

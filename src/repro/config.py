@@ -1,10 +1,13 @@
-"""One window onto every ``REPRO_*`` environment kill switch.
+"""One window onto every ``REPRO_*`` environment switch.
 
-The middleware grew one ad-hoc ``os.environ`` read per subsystem --
-``REPRO_SHMROS`` in the transport, ``REPRO_TZC`` in the codec,
-``REPRO_OBS`` in the metrics registry, and so on -- each with its own
-default spelling and no way to see the whole configuration at once.
-This module replaces them with typed, *read-once* accessors:
+Eight switches, no more: transport choices (``REPRO_SHMROS``,
+``REPRO_TZC``, ``REPRO_TRANSPORT_PLANNER``), observability
+(``REPRO_OBS``, ``REPRO_OBS_WIRE``), the SFM reference-path gates
+(``REPRO_SFM_SLAB``, ``REPRO_SFM_CODEGEN``) and ``REPRO_SOAK``.  The I/O
+model is not among them -- every connection runs on the reactor
+(:mod:`repro.ros.reactor`) and send-side frame coalescing is a constant
+of the link pumps.  No subsystem reads ``os.environ`` itself; they call
+the typed, *read-once* accessors here:
 
 - every switch is declared once in :data:`SWITCHES` with its default,
   type and a one-line description;
@@ -27,8 +30,8 @@ from typing import Optional
 
 __all__ = [
     "SWITCHES", "flag", "reset", "describe",
-    "sfm_slab", "sfm_codegen", "tzc", "shmros", "doorbell_batch",
-    "transport_planner", "obs", "obs_wire", "soak", "reactor",
+    "sfm_slab", "sfm_codegen", "tzc", "shmros",
+    "transport_planner", "obs", "obs_wire", "soak",
 ]
 
 
@@ -56,8 +59,7 @@ class Switch:
         return raw != "0"
 
 
-#: Every recognised switch, in display order.  Defaults mirror the
-#: historical per-module reads exactly.
+#: Every recognised switch, in display order.
 SWITCHES: dict[str, Switch] = {
     switch.name: switch
     for switch in (
@@ -69,8 +71,6 @@ SWITCHES: dict[str, Switch] = {
                "TZC partial serialization on remote SFM links"),
         Switch("REPRO_SHMROS", True,
                "shared-memory transport (slot rings + doorbell)"),
-        Switch("REPRO_DOORBELL_BATCH", True,
-               "send-side frame coalescing (TCPROS data and SHM doorbell)"),
         Switch("REPRO_TRANSPORT_PLANNER", False,
                "adaptive per-link transport planner", truthy=True),
         Switch("REPRO_OBS", True,
@@ -80,9 +80,6 @@ SWITCHES: dict[str, Switch] = {
         Switch("REPRO_SOAK", False,
                "long-running soak variants of tests and benches",
                truthy=True),
-        Switch("REPRO_REACTOR", True,
-               "shared selector event loop under every transport "
-               "(0 = thread-per-connection)"),
     )
 }
 
@@ -149,10 +146,6 @@ def shmros() -> bool:
     return flag("REPRO_SHMROS")
 
 
-def doorbell_batch() -> bool:
-    return flag("REPRO_DOORBELL_BATCH")
-
-
 def transport_planner() -> bool:
     return flag("REPRO_TRANSPORT_PLANNER")
 
@@ -167,7 +160,3 @@ def obs_wire() -> bool:
 
 def soak() -> bool:
     return flag("REPRO_SOAK")
-
-
-def reactor() -> bool:
-    return flag("REPRO_REACTOR")

@@ -49,8 +49,6 @@ T_REFUSE = 3
 T_DATA = 4
 T_CLOSE = 5
 
-#: DATA chunk size when pumping a channel into the mux.
-CHUNK = 64 * 1024
 MAX_FRAME = tcpros.MAX_FRAME
 
 
@@ -58,18 +56,9 @@ class RouteError(ConnectionError):
     """The remote daemon could not complete an OPEN."""
 
 
-def _read_frame(sock) -> tuple[int, int, bytes]:
-    header = tcpros.read_exact(sock, _HEADER.size)
-    length, frame_type, channel = _HEADER.unpack(bytes(header))
-    if length > MAX_FRAME:
-        raise ConnectionError(f"mux frame too large ({length} bytes)")
-    payload = bytes(tcpros.read_exact(sock, length)) if length else b""
-    return frame_type, channel, payload
-
-
 class MuxDecoder:
-    """Incremental mux framing for the reactor path: ``feed(chunk)``
-    returns ``("frame", frame_type, channel, payload_bytes)`` events."""
+    """Incremental mux framing: ``feed(chunk)`` returns
+    ``("frame", frame_type, channel, payload_bytes)`` events."""
 
     __slots__ = ("_buffer",)
 
@@ -98,8 +87,6 @@ class _MuxLink:
     def __init__(self, routed: "RouteD", sock: socket.socket,
                  dialed: bool) -> None:
         self._routed = routed
-        self._sock = sock
-        self._send_lock = threading.Lock()
         self._lock = threading.Lock()
         self._channels: dict[int, socket.socket] = {}
         self._opens: dict[int, dict] = {}
@@ -108,51 +95,32 @@ class _MuxLink:
         self._next_channel = 1 if dialed else 2
         self.peer_name = ""
         self.closed = threading.Event()
-        self._reader = None
-        self._rlink = None
-        self._serial = None
-        #: Channel id -> the endpoint's StreamLink (reactor mode only).
+        #: Channel id -> the endpoint's StreamLink.
         self._chlinks: dict = {}
-        self._reactor = reactor_mod.reactor_enabled()
-        if not self._reactor:
-            self._reader = threading.Thread(
-                target=self._read_loop, daemon=True,
-                name=f"routed-mux:{routed.name}",
-            )
+        loop = reactor_mod.global_reactor()
+        self._serial = loop.serial_queue(on_error=lambda exc: self.close())
+        self._rlink = reactor_mod.StreamLink(
+            sock,
+            MuxDecoder(),
+            on_events=lambda events: self._serial.push(
+                lambda: self._handle_frames(events)
+            ),
+            on_error=lambda exc: self.close(),
+            reactor=loop,
+            label=f"routed-mux:{routed.name}",
+        )
 
     def start(self) -> None:
-        if self._reactor:
-            loop = reactor_mod.global_reactor()
-            self._serial = loop.serial_queue(
-                on_error=lambda exc: self.close()
-            )
-            self._rlink = reactor_mod.StreamLink(
-                self._sock,
-                MuxDecoder(),
-                on_events=lambda events: self._serial.push(
-                    lambda: self._handle_frames(events)
-                ),
-                on_error=lambda exc: self.close(),
-                reactor=loop,
-                label=f"routed-mux:{self._routed.name}",
-            )
-            self._rlink.start()
-        else:
-            self._reader.start()
+        self._rlink.start()
 
     # -- sending ---------------------------------------------------------
     def send(self, frame_type: int, channel: int, payload: bytes = b"") -> None:
         header = _HEADER.pack(len(payload), frame_type, channel)
-        if self._rlink is not None:
-            # The stream link's write buffer is thread-safe and ordered;
-            # send errors surface asynchronously through on_error.
-            self._rlink.write([header, payload])
-        else:
-            with self._send_lock:
-                # Vectored write: a TZC bulk frame pumped through a
-                # channel never gets re-staged into one contiguous mux
-                # frame.
-                tcpros.send_parts(self._sock, [header, payload])
+        # The stream link's write buffer is thread-safe and ordered, and
+        # vectored: a TZC bulk frame pumped through a channel never gets
+        # re-staged into one contiguous mux frame.  Send errors surface
+        # asynchronously through on_error.
+        self._rlink.write([header, payload])
         self._routed._frames.inc()
         self._routed._bytes.inc(len(header) + len(payload))
 
@@ -179,45 +147,27 @@ class _MuxLink:
         with self._lock:
             self._channels[channel] = endpoint
         self._routed._channels_gauge.set(self._routed.channel_count())
-        if self._reactor:
-            # The endpoint joins the loop: its bytes become DATA frames
-            # straight from the reactor thread (per-link read order is
-            # the pump order), EOF/reset closes the channel both ways.
-            chlink = reactor_mod.StreamLink(
-                endpoint,
-                reactor_mod.RawDecoder(),
-                on_events=lambda events, chan=channel: self._pump_events(
-                    chan, events
-                ),
-                on_error=lambda exc, chan=channel: self._close_channel(
-                    chan, notify_peer=True
-                ),
-                label=f"routed-chan:{channel}",
-            )
-            with self._lock:
-                self._chlinks[channel] = chlink
-            chlink.start()
-        else:
-            threading.Thread(
-                target=self._pump_out, args=(channel, endpoint), daemon=True,
-                name=f"routed-pump:{channel}",
-            ).start()
+        # The endpoint joins the loop: its bytes become DATA frames
+        # straight from the reactor thread (per-link read order is the
+        # pump order), EOF/reset closes the channel both ways.
+        chlink = reactor_mod.StreamLink(
+            endpoint,
+            reactor_mod.RawDecoder(),
+            on_events=lambda events, chan=channel: self._pump_events(
+                chan, events
+            ),
+            on_error=lambda exc, chan=channel: self._close_channel(
+                chan, notify_peer=True
+            ),
+            label=f"routed-chan:{channel}",
+        )
+        with self._lock:
+            self._chlinks[channel] = chlink
+        chlink.start()
 
     def _pump_events(self, channel: int, events: list) -> None:
         for _kind, chunk in events:
             self.send(T_DATA, channel, chunk)
-
-    def _pump_out(self, channel: int, endpoint: socket.socket) -> None:
-        """Local endpoint -> DATA frames, until either side closes."""
-        try:
-            while True:
-                chunk = endpoint.recv(CHUNK)
-                if not chunk:
-                    break
-                self.send(T_DATA, channel, chunk)
-        except OSError:
-            pass
-        self._close_channel(channel, notify_peer=True)
 
     def _close_channel(self, channel: int, notify_peer: bool) -> None:
         with self._lock:
@@ -231,25 +181,13 @@ class _MuxLink:
             except OSError:
                 pass
             if notify_peer:
-                try:
-                    self.send(T_CLOSE, channel)
-                except OSError:
-                    pass
+                self.send(T_CLOSE, channel)
         self._routed._channels_gauge.set(self._routed.channel_count())
 
     # -- receiving -------------------------------------------------------
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                frame_type, channel, payload = _read_frame(self._sock)
-                self._handle_frame(frame_type, channel, payload)
-        except (ConnectionError, OSError):
-            pass
-        self.close()
-
     def _handle_frames(self, events: list) -> None:
-        """Decoder events -> frame dispatch (reactor worker, serialized
-        per mux so frame order is preserved)."""
+        """Decoder events -> frame dispatch (worker pool, serialized per
+        mux so frame order is preserved)."""
         for _kind, frame_type, channel, payload in events:
             if self.closed.is_set():
                 return
@@ -260,15 +198,12 @@ class _MuxLink:
         if frame_type == T_HELLO:
             self.peer_name = payload.decode("utf-8", "replace")
         elif frame_type == T_OPEN:
-            if self._reactor:
-                # The dial blocks up to 5 s: off the worker pool, like
-                # every other connect phase.
-                reactor_mod.global_reactor().spawn_blocking(
-                    lambda: self._handle_open(channel, payload),
-                    name=f"routed-open:{channel}",
-                )
-            else:
-                self._handle_open(channel, payload)
+            # The dial blocks up to 5 s: off the worker pool, like
+            # every other connect phase.
+            reactor_mod.global_reactor().spawn_blocking(
+                lambda: self._handle_open(channel, payload),
+                name=f"routed-open:{channel}",
+            )
         elif frame_type in (T_ACCEPT, T_REFUSE):
             with self._lock:
                 waiter = self._opens.pop(channel, None)
@@ -278,17 +213,11 @@ class _MuxLink:
                 waiter["event"].set()
         elif frame_type == T_DATA:
             with self._lock:
-                endpoint = self._channels.get(channel)
                 chlink = self._chlinks.get(channel)
             if chlink is not None:
                 # Buffered, never blocking: one stalled inner consumer
                 # must not wedge every other channel on this mux.
                 chlink.write([payload])
-            elif endpoint is not None:
-                try:
-                    endpoint.sendall(payload)
-                except OSError:
-                    self._close_channel(channel, notify_peer=True)
         elif frame_type == T_CLOSE:
             self._close_channel(channel, notify_peer=False)
 
@@ -316,12 +245,7 @@ class _MuxLink:
             waiter["event"].set()
         for channel in channels:
             self._close_channel(channel, notify_peer=False)
-        if self._rlink is not None:
-            self._rlink.close()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._rlink.close()
         self._routed._drop_link(self)
 
     def channel_ids(self) -> list[int]:
@@ -359,21 +283,11 @@ class RouteD:
         self._listener.bind((host, port))
         self._listener.listen(16)
         self.listen_addr = self._listener.getsockname()
-        self._closed = threading.Event()
-        self._accept_thread = None
-        self._acceptor = None
-        if reactor_mod.reactor_enabled():
-            self._acceptor = reactor_mod.AcceptorLink(
-                self._listener, self._on_accept,
-                reactor=reactor_mod.global_reactor(),
-                label=f"routed-accept:{name}",
-            )
-            self._acceptor.start()
-        else:
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True, name=f"routed:{name}",
-            )
-            self._accept_thread.start()
+        self._acceptor = reactor_mod.AcceptorLink(
+            self._listener, self._on_accept,
+            label=f"routed-accept:{name}",
+        )
+        self._acceptor.start()
         self._installed = False
         self._admin = None
         if admin:
@@ -392,31 +306,16 @@ class RouteD:
             self.admin_uri = ""
 
     # -- peer mux management ---------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return
-            self._admit_mux(sock)
-
     def _on_accept(self, sock, _addr) -> None:
         """AcceptorLink callback (loop thread): mux setup is all
         non-blocking -- StreamLink registration plus a buffered HELLO."""
-        self._admit_mux(sock)
-
-    def _admit_mux(self, sock) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         link = _MuxLink(self, sock, dialed=False)
         # Accepted links are keyed once HELLO names the peer; until
-        # then they live unkeyed (the reader keeps them alive) -- an
+        # then they live unkeyed (the reactor keeps them alive) -- an
         # accepted mux never originates OPENs here.
         link.start()
-        try:
-            link.send(T_HELLO, 0, self.name.encode())
-        except OSError:
-            link.close()
-            return
+        link.send(T_HELLO, 0, self.name.encode())
         with self._lock:
             self._links[("accepted", id(link))] = link
         self._mux_gauge.set(len(self._links))
@@ -510,14 +409,8 @@ class RouteD:
         }
 
     def shutdown(self) -> None:
-        self._closed.set()
         self.uninstall()
-        if self._acceptor is not None:
-            self._acceptor.close()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self._acceptor.close()
         with self._lock:
             links = list(self._links.values())
         for link in links:

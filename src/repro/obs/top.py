@@ -211,7 +211,7 @@ class TopMonitor:
             tap = self._taps[topic]
             rate, bandwidth = tap.rates()
             transports = (
-                tap.subscriber._transport_counts()
+                tap.subscriber.stats()["transports"]
                 if tap.subscriber is not None else {}
             )
             transport = "/".join(

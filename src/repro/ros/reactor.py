@@ -1,10 +1,10 @@
 """The reactor core: one event loop under every transport.
 
-Thread-per-connection capped the graph at hundreds of clients: every
-TCPROS link, SHM doorbell, bridge session and mux channel burned one or
-two Python threads, and at fan-out the scheduler -- not the sockets --
-became the bottleneck.  This module rearchitects the connection paths
-onto the C10k shape (HPRM's broker, rosbridge's tornado loop):
+Every connection in the process -- TCPROS links, SHM doorbells, TZC
+links, bridge sessions, RouteD mux channels -- is scheduled here, on the
+C10k shape (HPRM's broker, rosbridge's tornado loop), so thread count is
+independent of connection count and at fan-out the sockets, not the
+scheduler, are the bottleneck.  It is the only I/O model:
 
 - one **reactor thread** running a ``selectors`` loop over every
   registered connection, timers included;
@@ -34,9 +34,11 @@ mux, bridge/ws sessions) register against:
     idempotent, exception-free teardown.
 
 Retry, keepalive, idle-timeout and planner plumbing all route through
-this seam (reactor timers + the protocol methods) instead of the old
-per-transport thread copies.  ``REPRO_REACTOR=0`` (see
-:mod:`repro.config`) restores the threaded paths wholesale.
+this seam (reactor timers + the protocol methods).  Each wire format has
+one incremental decoder fed by :class:`StreamLink` (``FrameDecoder``
+here, ``DoorbellDecoder``, ``SplitDecoder``, ``WsDecoder`` and
+``MuxDecoder`` beside their encoders) and one iovec-list encoder whose
+output a link queues with :meth:`StreamLink.write`.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ import threading
 import time
 from collections import deque
 from typing import Callable, Optional
-
-from repro import config
 
 _LEN = struct.Struct("<I")
 _TRACE = struct.Struct("<QQ")
@@ -75,14 +75,8 @@ _RECV_CHUNK = 65536
 #: sever, crash paths closing raw fds) vanishes from epoll without an
 #: event, so a blocked-recv EOF never arrives.  The sweep spots the
 #: orphaned registration (``fileno()`` no longer matches) and fails the
-#: link promptly -- the reactor's analogue of a reader thread waking on
-#: its closed fd.
+#: link promptly.
 _REAP_INTERVAL = 0.2
-
-
-def reactor_enabled() -> bool:
-    """The tentpole kill switch (``REPRO_REACTOR=0`` -> threaded paths)."""
-    return config.reactor()
 
 
 class Link:
@@ -314,6 +308,10 @@ class Reactor:
 
     def link_count(self) -> int:
         return len(self._registered)
+
+    def link_for(self, fd: int) -> Optional[Link]:
+        """The link registered on ``fd``, if any (loop thread only)."""
+        return self._registered.get(fd)
 
     # ------------------------------------------------------------------
     # The loop

@@ -6,12 +6,13 @@ The user-facing API mirrors roscpp/rospy:
 - ``nh.subscribe(topic, MsgClass, callback)`` and the callback receives
   the message object.
 
-Internally the publisher keeps one outbound link (socket + bounded queue +
-sender thread) per connected subscriber; the subscriber keeps one inbound
-link per discovered publisher.  Payload encoding happens **once per
-publish** regardless of fan-out, and the payload's release hook (the SFM
-buffer pointer) fires only after every link has sent or dropped it --
-reproducing the reference counting of the paper's Fig. 8.
+Internally the publisher keeps one outbound link (socket + bounded queue,
+scheduled by the shared reactor) per connected subscriber; the subscriber
+keeps one inbound link per discovered publisher.  No link owns a thread.
+Payload encoding happens **once per publish** regardless of fan-out, and
+the payload's release hook (the SFM buffer pointer) fires only after
+every link has sent or dropped it -- reproducing the reference counting
+of the paper's Fig. 8.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import itertools
 import threading
 import time
 import uuid
-import warnings
 import xmlrpc.client
 from collections import deque
 from typing import Callable, Optional
@@ -47,14 +47,6 @@ class _DrainDecoder:
 
     def feed(self, data) -> list:
         return []
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (the unified Link protocol)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class _Outgoing:
@@ -111,58 +103,39 @@ class _OutboundLink:
         #: of one monolithic payload frame (partial serialization).
         self.tzc = tzc_mode
         self._queue: deque[_Outgoing] = deque()
-        self._condition = threading.Condition()
+        self._lock = threading.Lock()
         self._closed = False
         self.dropped = 0
         self.sent_count = 0
         self.sent_bytes = 0
-        self._thread = None
-        self._monitor = None
-        self._rlink = None
         self._ka_timer = None
         self._pump_scheduled = False
-        self._reactor = reactor_mod.reactor_enabled()
-        if self._reactor:
-            # Reactor mode: EOF detection, sends and keepalives all ride
-            # the shared loop -- this link owns zero threads.
-            loop = reactor_mod.global_reactor()
-            self._loop = loop
-            self._last_activity = time.monotonic()
-            self._rlink = reactor_mod.StreamLink(
-                sock,
-                _DrainDecoder(),
-                on_events=lambda events: None,
-                on_error=lambda exc: self._shutdown_from_error(),
-                reactor=loop,
-                label=f"pub:{publisher.topic}->{subscriber_id}",
+        # EOF detection, sends and keepalives all ride the shared loop:
+        # this link owns zero threads.  The subscriber never speaks on a
+        # TCPROS data socket after the handshake, so the only read event
+        # that matters is EOF/reset -- a vanished subscriber is detected
+        # without waiting for the next send to fail.
+        loop = reactor_mod.global_reactor()
+        self._loop = loop
+        self._last_activity = time.monotonic()
+        self._rlink = reactor_mod.StreamLink(
+            sock,
+            _DrainDecoder(),
+            on_events=lambda events: None,
+            on_error=lambda exc: self._shutdown_from_error(),
+            reactor=loop,
+            label=f"pub:{publisher.topic}->{subscriber_id}",
+        )
+        self._rlink.start()
+        keepalive = getattr(publisher.node, "link_keepalive", 2.0)
+        if keepalive:
+            self._ka_timer = loop.call_later(
+                keepalive, self._keepalive_tick
             )
-            self._rlink.start()
-            keepalive = getattr(publisher.node, "link_keepalive", 2.0)
-            if keepalive:
-                self._ka_timer = loop.call_later(
-                    keepalive, self._keepalive_tick
-                )
-        else:
-            self._thread = threading.Thread(
-                target=self._send_loop,
-                daemon=True,
-                name=f"pub:{publisher.topic}->{subscriber_id}",
-            )
-            self._thread.start()
-            # The subscriber never speaks on a TCPROS data socket after
-            # the handshake, so a blocking read resolves only when the
-            # link dies: EOF (or reset) here detects a vanished
-            # subscriber without waiting for the next send to fail.
-            self._monitor = threading.Thread(
-                target=self._monitor_loop,
-                daemon=True,
-                name=f"pubmon:{publisher.topic}->{subscriber_id}",
-            )
-            self._monitor.start()
 
     def enqueue(self, outgoing: _Outgoing) -> None:
         schedule = False
-        with self._condition:
+        with self._lock:
             if self._closed:
                 outgoing.done()
                 return
@@ -175,19 +148,14 @@ class _OutboundLink:
                 self.dropped += 1
                 self.publisher.dropped_count += 1
             self._queue.append(outgoing)
-            if self._reactor and not self._pump_scheduled:
+            if not self._pump_scheduled:
                 self._pump_scheduled = True
                 schedule = True
-            self._condition.notify()
         if schedule:
             self._loop.call_soon(self._pump)
 
-    def queue_depth(self) -> int:
-        _deprecated("link.queue_depth()", 'link.stats()["queue_depth"]')
-        return self._depth()
-
     def _depth(self) -> int:
-        with self._condition:
+        with self._lock:
             return len(self._queue)
 
     # -- unified Link protocol -----------------------------------------
@@ -202,12 +170,10 @@ class _OutboundLink:
             return -1
 
     def on_readable(self) -> None:
-        if self._rlink is not None:
-            self._rlink.on_readable()
+        self._rlink.on_readable()
 
     def on_writable(self) -> None:
-        if self._rlink is not None:
-            self._rlink.on_writable()
+        self._rlink.on_writable()
 
     def stats(self) -> dict:
         return {
@@ -221,24 +187,23 @@ class _OutboundLink:
             "link_state": self.link_state,
         }
 
-    # -- reactor send path ---------------------------------------------
+    # -- send path -------------------------------------------------------
     def _pump(self) -> None:
         """Drain the queue onto the reactor link's write buffer (loop
-        thread).  Batching watermarks match the threaded ``_send_loop``;
-        completion (``_Outgoing.done``) fires from the flush callback so
+        thread).  Everything already queued, up to the frame and byte
+        watermarks, goes out as one vectored write; a lone publish
+        flushes immediately, so latency is never traded for throughput.
+        Completion (``_Outgoing.done``) fires from the flush callback so
         SFM payloads stay alive until their bytes leave the process."""
-        with self._condition:
+        with self._lock:
             self._pump_scheduled = False
-        max_frames = (
-            tcpros.BATCH_MAX_FRAMES if tcpros.batching_enabled() else 1
-        )
         while True:
             batch: list[_Outgoing] = []
-            with self._condition:
+            with self._lock:
                 nbytes = 0
                 while (
                     self._queue
-                    and len(batch) < max_frames
+                    and len(batch) < tcpros.BATCH_MAX_FRAMES
                     and nbytes <= tcpros.BATCH_MAX_BYTES
                 ):
                     outgoing = self._queue.popleft()
@@ -305,132 +270,34 @@ class _OutboundLink:
             keepalive, self._keepalive_tick
         )
 
-    def _send_loop(self) -> None:
-        keepalive = getattr(self.publisher.node, "link_keepalive", 2.0) or None
-        # Coalescing: flush everything already queued (up to the frame and
-        # byte watermarks) as one vectored write.  A lone publish flushes
-        # immediately -- the batch only grows from messages that were
-        # queued behind it, so latency is never traded for throughput.
-        max_frames = (
-            tcpros.BATCH_MAX_FRAMES if tcpros.batching_enabled() else 1
-        )
-        while True:
-            idle = False
-            batch: list[_Outgoing] = []
-            with self._condition:
-                while not self._queue and not self._closed:
-                    if not self._condition.wait(timeout=keepalive):
-                        idle = True
-                        break
-                if self._closed and not self._queue:
-                    return
-                nbytes = 0
-                while (
-                    self._queue
-                    and len(batch) < max_frames
-                    and nbytes <= tcpros.BATCH_MAX_BYTES
-                ):
-                    outgoing = self._queue.popleft()
-                    batch.append(outgoing)
-                    nbytes += len(outgoing.payload)
-            if not batch:
-                if idle:
-                    # Quiet topic: an in-band keepalive keeps the
-                    # subscriber's idle timer from declaring us half-open.
-                    # ``Exception``, not ``OSError``: a close() racing
-                    # interpreter shutdown can surface arbitrary teardown
-                    # errors, and this loop must exit quietly either way.
-                    try:
-                        tcpros.write_keepalive(self.sock)
-                    except Exception:
-                        self._shutdown_from_error()
-                        return
-                continue
-            traced = self.traced
-            start_ns = (
-                time.monotonic_ns()
-                if traced and any(out.trace_id for out in batch)
-                else 0
-            )
-            try:
-                if self.tzc:
-                    tzc.send_split_batch(
-                        self.sock,
-                        [(out.tzc_parts or self.publisher._tzc_split(
-                            out.payload),
-                          out.trace_id, out.pub_ns)
-                         for out in batch],
-                        traced=traced,
-                    )
-                elif traced:
-                    tcpros.write_traced_frames(
-                        self.sock,
-                        [(out.payload, out.trace_id, out.pub_ns)
-                         for out in batch],
-                    )
-                else:
-                    tcpros.write_frames(
-                        self.sock, [out.payload for out in batch]
-                    )
-            except Exception:
-                for out in batch:
-                    out.done()
-                self._shutdown_from_error()
-                return
-            end_ns = time.monotonic_ns() if start_ns else 0
-            transport_label = "TZC" if self.tzc else "TCPROS"
-            for out in batch:
-                size = len(out.payload)
-                if traced and out.trace_id:
-                    tracer.record(
-                        "send", out.trace_id, start_ns, end_ns,
-                        topic=self.publisher.topic,
-                        transport=transport_label, bytes=size,
-                    )
-                out.done()
-                self.sent_count += 1
-                self.sent_bytes += size
-
-    def _monitor_loop(self) -> None:
-        try:
-            while not self._closed:
-                if not self.sock.recv(4096):
-                    break
-        except Exception:
-            pass
-        if not self._closed:
-            self._shutdown_from_error()
-
     def _shutdown_from_error(self) -> None:
         self.close()
         self.publisher._remove_link(self)
 
     def close(self) -> None:
-        with self._condition:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
             pending = list(self._queue)
             self._queue.clear()
-            self._condition.notify_all()
         for outgoing in pending:
             outgoing.done()
         if self._ka_timer is not None:
             self._ka_timer.cancel()
-        if self._rlink is not None:
-            self._rlink.close()
-        tcpros.quiet_close(self.sock)
+        self._rlink.close()
 
 
 class _ShmOutboundLink:
     """Publisher-side SHMROS connection to one subscriber.
 
     The socket that carried the handshake becomes the *doorbell*: the
-    send loop writes tiny control frames (slot notifications, ring
-    reseg notices, or inline payloads when shared memory cannot serve),
-    and the ack loop reads slot acknowledgements so ring slots can be
-    reused.  Queue overflow drops the oldest droppable entry and releases
-    its slot -- the same slow-subscriber policy as ``_OutboundLink``.
+    pump writes tiny control frames (slot notifications, ring reseg
+    notices, or inline payloads when shared memory cannot serve), and
+    the slot acknowledgements decoded off the same socket let ring slots
+    be reused.  Queue overflow drops the oldest droppable entry and
+    releases its slot -- the same slow-subscriber policy as
+    ``_OutboundLink``.
     """
 
     is_shm = True
@@ -450,50 +317,32 @@ class _ShmOutboundLink:
         #: the bound check in ``_enqueue`` is O(1) per publish instead of
         #: a scan of the (possibly deep) backlog.
         self._droppable = 0
-        self._condition = threading.Condition()
+        self._lock = threading.Lock()
         self._closed = False
         self.dropped = 0
         self.sent_count = 0
         self.sent_bytes = 0
-        self._send_thread = None
-        self._ack_thread = None
-        self._rlink = None
         self._ka_timer = None
         self._pump_scheduled = False
-        self._reactor = reactor_mod.reactor_enabled()
-        if self._reactor:
-            # Reactor mode: the doorbell socket's acks are decoded on the
-            # loop; sends and keepalives ride its write buffer.
-            loop = reactor_mod.global_reactor()
-            self._loop = loop
-            self._last_activity = time.monotonic()
-            self._rlink = reactor_mod.StreamLink(
-                sock,
-                shm.DoorbellDecoder(),
-                on_events=self._on_ack_events,
-                on_error=lambda exc: self._shutdown_from_error(),
-                reactor=loop,
-                label=f"shmpub:{publisher.topic}->{subscriber_id}",
+        # The doorbell socket's acks are decoded on the shared loop;
+        # sends and keepalives ride its write buffer.
+        loop = reactor_mod.global_reactor()
+        self._loop = loop
+        self._last_activity = time.monotonic()
+        self._rlink = reactor_mod.StreamLink(
+            sock,
+            shm.DoorbellDecoder(),
+            on_events=self._on_ack_events,
+            on_error=lambda exc: self._shutdown_from_error(),
+            reactor=loop,
+            label=f"shmpub:{publisher.topic}->{subscriber_id}",
+        )
+        self._rlink.start()
+        keepalive = getattr(publisher.node, "link_keepalive", 2.0)
+        if keepalive:
+            self._ka_timer = loop.call_later(
+                keepalive, self._keepalive_tick
             )
-            self._rlink.start()
-            keepalive = getattr(publisher.node, "link_keepalive", 2.0)
-            if keepalive:
-                self._ka_timer = loop.call_later(
-                    keepalive, self._keepalive_tick
-                )
-        else:
-            self._send_thread = threading.Thread(
-                target=self._send_loop,
-                daemon=True,
-                name=f"shmpub:{publisher.topic}->{subscriber_id}",
-            )
-            self._ack_thread = threading.Thread(
-                target=self._ack_loop,
-                daemon=True,
-                name=f"shmack:{publisher.topic}->{subscriber_id}",
-            )
-            self._send_thread.start()
-            self._ack_thread.start()
 
     def _on_ack_events(self, events: list) -> None:
         for frame in events:
@@ -519,7 +368,7 @@ class _ShmOutboundLink:
         self._enqueue(("reseg", ring))
 
     def _enqueue(self, item: tuple) -> None:
-        with self._condition:
+        with self._lock:
             if self._closed:
                 self._discard(item)
                 return
@@ -542,19 +391,14 @@ class _ShmOutboundLink:
             self._queue.append(item)
             if item[0] != "reseg":
                 self._droppable += 1
-            schedule = self._reactor and not self._pump_scheduled
+            schedule = not self._pump_scheduled
             if schedule:
                 self._pump_scheduled = True
-            self._condition.notify()
         if schedule:
             self._loop.call_soon(self._pump)
 
-    def queue_depth(self) -> int:
-        _deprecated("link.queue_depth()", 'link.stats()["queue_depth"]')
-        return self._depth()
-
     def _depth(self) -> int:
-        with self._condition:
+        with self._lock:
             return len(self._queue)
 
     # -- unified Link protocol -----------------------------------------
@@ -569,12 +413,10 @@ class _ShmOutboundLink:
             return -1
 
     def on_readable(self) -> None:
-        if self._rlink is not None:
-            self._rlink.on_readable()
+        self._rlink.on_readable()
 
     def on_writable(self) -> None:
-        if self._rlink is not None:
-            self._rlink.on_writable()
+        self._rlink.on_writable()
 
     def stats(self) -> dict:
         return {
@@ -587,24 +429,23 @@ class _ShmOutboundLink:
             "link_state": self.link_state,
         }
 
-    # -- reactor send path ---------------------------------------------
+    # -- send path -------------------------------------------------------
     def _pump(self) -> None:
         """Drain the doorbell queue onto the reactor link (loop thread).
-        Frame building and the per-frame chaos gate match the threaded
-        ``_send_loop``; inline payload release fires from the flush
-        callback."""
-        with self._condition:
+        Every slot announcement is a 37-byte control frame, so a burst of
+        small publishes is syscall-bound on the doorbell: the drained
+        queue goes out as one vectored write, while a lone publish still
+        flushes immediately (zero time watermark).  Inline payload
+        release fires from the flush callback."""
+        with self._lock:
             self._pump_scheduled = False
-        max_frames = (
-            tcpros.BATCH_MAX_FRAMES if tcpros.batching_enabled() else 1
-        )
         while True:
             batch: list[tuple] = []
-            with self._condition:
+            with self._lock:
                 nbytes = 0
                 while (
                     self._queue
-                    and len(batch) < max_frames
+                    and len(batch) < tcpros.BATCH_MAX_FRAMES
                     and nbytes <= tcpros.BATCH_MAX_BYTES
                 ):
                     item = self._queue.popleft()
@@ -627,7 +468,7 @@ class _ShmOutboundLink:
                 self._rlink.write(parts, on_flushed=flush)
             else:
                 # The chaos gate swallowed every frame: the payloads are
-                # still spent (matching the threaded path's accounting).
+                # still spent.
                 flush()
 
     def _batch_frames(self, batch: list) -> tuple[list, bool]:
@@ -713,136 +554,24 @@ class _ShmOutboundLink:
         self.dropped += 1
         self.publisher.dropped_count += 1
 
-    # ------------------------------------------------------------------
-    # Doorbell I/O
-    # ------------------------------------------------------------------
-    def _send_loop(self) -> None:
-        keepalive = getattr(self.publisher.node, "link_keepalive", 2.0) or None
-        # Doorbell coalescing: every slot announcement is a 37-byte
-        # control frame, so a burst of small publishes is syscall-bound on
-        # the doorbell.  Flushing the drained queue as one vectored send
-        # packs N announcements per syscall; a lone publish still flushes
-        # immediately (zero time watermark).
-        max_frames = (
-            tcpros.BATCH_MAX_FRAMES if tcpros.batching_enabled() else 1
-        )
-        while True:
-            idle = False
-            batch: list[tuple] = []
-            with self._condition:
-                while not self._queue and not self._closed:
-                    if not self._condition.wait(timeout=keepalive):
-                        idle = True
-                        break
-                if self._closed and not self._queue:
-                    return
-                nbytes = 0
-                while (
-                    self._queue
-                    and len(batch) < max_frames
-                    and nbytes <= tcpros.BATCH_MAX_BYTES
-                ):
-                    item = self._queue.popleft()
-                    if item[0] != "reseg":
-                        self._droppable -= 1
-                    batch.append(item)
-                    if item[0] == "inline":
-                        nbytes += len(item[1].payload)
-            if not batch:
-                if idle:
-                    # ``Exception``: teardown must be exception-free even
-                    # against interpreter-shutdown races (satellite of
-                    # the reactor PR; previously only OSError was caught
-                    # and late shutdowns spewed stack traces).
-                    try:
-                        shm.send_keepalive(self.sock)
-                    except Exception:
-                        self._shutdown_from_error()
-                        return
-                continue
-            frames: list[tuple] = []
-            any_trace = False
-            for item in batch:
-                if item[0] == "slot":
-                    _kind, _ring, slot, seq, size, trace_id, pub_ns = item
-                    frames.append(("slot", slot, seq, size, trace_id, pub_ns))
-                    any_trace = any_trace or bool(trace_id)
-                elif item[0] == "inline":
-                    outgoing = item[1]
-                    frames.append((
-                        "inline", outgoing.payload, outgoing.trace_id,
-                        outgoing.pub_ns,
-                    ))
-                    any_trace = any_trace or bool(outgoing.trace_id)
-                else:  # reseg
-                    ring = item[1]
-                    frames.append((
-                        "reseg", ring.name, ring.slot_count, ring.slot_bytes
-                    ))
-            start_ns = time.monotonic_ns() if any_trace else 0
-            try:
-                shm.send_frames(self.sock, frames)
-            except Exception:
-                for item in batch:
-                    self._discard(item)
-                self._shutdown_from_error()
-                return
-            end_ns = time.monotonic_ns() if any_trace else 0
-            for item in batch:
-                if item[0] == "slot":
-                    _kind, _ring, slot, seq, size, trace_id, pub_ns = item
-                    if trace_id:
-                        tracer.record(
-                            "send", trace_id, start_ns, end_ns,
-                            topic=self.publisher.topic, transport="SHMROS",
-                            bytes=size,
-                        )
-                    self.sent_count += 1
-                    self.sent_bytes += size
-                elif item[0] == "inline":
-                    outgoing = item[1]
-                    size = len(outgoing.payload)
-                    if outgoing.trace_id:
-                        tracer.record(
-                            "send", outgoing.trace_id, start_ns, end_ns,
-                            topic=self.publisher.topic,
-                            transport="SHMROS-inline", bytes=size,
-                        )
-                    outgoing.done()
-                    self.sent_count += 1
-                    self.sent_bytes += size
-
-    def _ack_loop(self) -> None:
-        try:
-            while not self._closed:
-                frame = shm.read_control_frame(self.sock)
-                if frame[0] == "ack":
-                    _kind, slot, seq = frame
-                    self.publisher._shm_ack(slot, seq, self)
-        except Exception:
-            self._shutdown_from_error()
-
     def _shutdown_from_error(self) -> None:
         self.close()
         self.publisher._remove_link(self)
 
     def close(self) -> None:
-        with self._condition:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
             pending = list(self._queue)
             self._queue.clear()
             self._droppable = 0
-            self._condition.notify_all()
         for item in pending:
             self._discard(item)
         self.publisher._shm_drop_reader(self)
         if self._ka_timer is not None:
             self._ka_timer.cancel()
-        if self._rlink is not None:
-            self._rlink.close()
-        tcpros.quiet_close(self.sock)
+        self._rlink.close()
 
 
 class Publisher:
@@ -1340,57 +1069,15 @@ class _InboundLink:
         self._shm_reader = None
         self._finalized = False
         self._finalize_lock = threading.Lock()
-        self._thread = None
-        if reactor_mod.reactor_enabled():
-            # Reactor mode: the (legitimately blocking) dial + handshake
-            # rides a transient spawn; once connected the socket joins
-            # the shared loop and this link owns zero threads.
-            reactor_mod.global_reactor().spawn_blocking(
-                self._run_reactor,
-                name=f"sub-dial:{subscriber.topic}<-{publisher_uri}",
-            )
-        else:
-            self._thread = threading.Thread(
-                target=self._run,
-                daemon=True,
-                name=f"sub:{subscriber.topic}<-{publisher_uri}",
-            )
-            self._thread.start()
+        # The (legitimately blocking) dial + handshake rides a transient
+        # spawn; once connected the socket joins the shared loop and this
+        # link owns zero threads.
+        reactor_mod.global_reactor().spawn_blocking(
+            self._dial,
+            name=f"sub-dial:{subscriber.topic}<-{publisher_uri}",
+        )
 
-    def _run(self) -> None:
-        subscriber = self.subscriber
-        allow_shm = self._allow_shm
-        if allow_shm is None:
-            allow_shm = (
-                getattr(subscriber.node, "shmros", True)
-                and shm.shm_available()
-                and not shm.env_disabled()
-            )
-        try:
-            try:
-                self._connect_and_stream(allow_shm)
-            except shm.ShmAttachError:
-                # The publisher granted a segment we cannot map (stale
-                # name, exhausted /dev/shm, ...): renegotiate pure TCPROS.
-                if not self._closed:
-                    self._reset_socket()
-                    self._connect_and_stream(False)
-        except (ConnectionError, OSError) as exc:
-            # An intentional close() tears the socket down under the
-            # reader; only an unexpected failure is worth recording.
-            if not self._closed:
-                self.error = exc
-        except (tcpros.ConnectionHandshakeError, TopicTypeMismatch) as exc:
-            # The publisher refused us (type/md5/format mismatch); record
-            # why so wait_for_publishers debugging can surface it.
-            self.error = exc
-        except shm.ShmTransportError as exc:
-            self.error = exc
-        finally:
-            self.close()
-            subscriber._link_closed(self)
-
-    def _run_reactor(self) -> None:
+    def _dial(self) -> None:
         """The connect phase on a transient spawn: negotiate, register
         the socket with the reactor, exit.  Streaming errors arrive later
         through :meth:`_stream_error`; this method only owns the dial."""
@@ -1404,39 +1091,25 @@ class _InboundLink:
             )
         try:
             try:
-                connected = self._connect_reactor(allow_shm)
+                connected = self._connect(allow_shm)
             except shm.ShmAttachError:
-                # Same renegotiate as the threaded path: the grant was
-                # unmappable, redial pure TCPROS while still on the
-                # blocking spawn.
+                # The publisher granted a segment we cannot map (stale
+                # name, exhausted /dev/shm, ...): renegotiate pure TCPROS
+                # while still on the blocking spawn.
                 connected = False
                 if not self._closed:
                     self._reset_socket()
-                    connected = self._connect_reactor(False)
-        except (ConnectionError, OSError) as exc:
-            if not self._closed:
-                self.error = exc
-            self._finalize()
-        except (tcpros.ConnectionHandshakeError, TopicTypeMismatch) as exc:
-            self.error = exc
-            self._finalize()
-        except shm.ShmTransportError as exc:
-            self.error = exc
-            self._finalize()
-        except Exception as exc:  # defensive: never leak a silent dial
-            if not self._closed:
-                self.error = exc
-            self._finalize()
+                    connected = self._connect(False)
+        except Exception as exc:
+            self._stream_error(exc)
         else:
             if not connected or self._closed:
                 # Publisher declined (requestTopic != 1) or we were
-                # closed mid-dial: report the link closed, like the
-                # threaded finally-block does.
+                # closed mid-dial: report the link closed.
                 self._finalize()
 
     def _finalize(self) -> None:
-        """Exactly-once teardown notification (the reactor-mode stand-in
-        for the threaded reader's ``finally`` block)."""
+        """Exactly-once teardown notification to the subscriber."""
         with self._finalize_lock:
             if self._finalized:
                 return
@@ -1445,37 +1118,25 @@ class _InboundLink:
         self.subscriber._link_closed(self)
 
     def _stream_error(self, exc: Exception) -> None:
-        """Streaming failed after registration (socket error, idle
-        timeout, decode error, callback exception).  Classification
-        mirrors the threaded ``_run`` except-ladder."""
-        if isinstance(
+        """The dial failed, or streaming failed after registration
+        (socket error, idle timeout, decode error, callback exception).
+        A refusal by the publisher (type/md5/format mismatch) or a
+        shared-memory failure is always recorded, so
+        ``wait_for_publishers`` debugging can surface it; anything else
+        only when unexpected -- an intentional close() tears the socket
+        down under the dial or the reactor."""
+        if not self._closed or isinstance(
             exc,
             (tcpros.ConnectionHandshakeError, TopicTypeMismatch,
              shm.ShmTransportError),
         ):
             self.error = exc
-        elif not self._closed:
-            # An intentional close() tears the socket down under the
-            # reactor; only an unexpected failure is worth recording.
-            self.error = exc
         self._finalize()
-
-    def _connect_and_stream(self, allow_shm: bool) -> None:
-        reply = self._negotiate(allow_shm)
-        if reply is None:
-            return
-        if reply.get("shm_segment"):
-            self._stream_shm(reply)
-        elif reply.get("tzc") == "1":
-            self._stream_tzc()
-        else:
-            self._stream_tcpros()
 
     def _negotiate(self, allow_shm: bool) -> Optional[dict]:
         """requestTopic + TCPROS handshake; returns the publisher's reply
         header (None when the publisher declined the topic) with
-        ``self.sock``/``self.traced`` set.  Shared by the threaded and
-        reactor connect paths."""
+        ``self.sock``/``self.traced`` set."""
         subscriber = self.subscriber
         protocols = (
             [["SHMROS", shm.machine_id()], ["TCPROS"]]
@@ -1516,13 +1177,12 @@ class _InboundLink:
         self.traced = reply.get("trace") == "1"
         return reply
 
-    def _connect_reactor(self, allow_shm: bool) -> bool:
+    def _connect(self, allow_shm: bool) -> bool:
         """Negotiate, pick the decoder for the granted transport, and
         register the data socket with the shared loop.  Returns False
-        when the publisher declined the topic.  Raises exactly what the
-        threaded connect raises (``ShmAttachError`` included -- the
-        ring attach happens here, still on the blocking spawn, so the
-        caller's renegotiate-without-SHM path works unchanged)."""
+        when the publisher declined the topic.  The ring attach happens
+        here, still on the blocking spawn, so ``ShmAttachError`` reaches
+        the caller's renegotiate-without-SHM path."""
         subscriber = self.subscriber
         reply = self._negotiate(allow_shm)
         if reply is None:
@@ -1547,6 +1207,10 @@ class _InboundLink:
             self.transport = "TCPROS"
             decoder = reactor_mod.FrameDecoder(traced=self.traced)
             handler = self._handle_tcp_events
+        # Half-open detection: publishers keepalive idle links, so total
+        # silence past ``link_idle_timeout`` means the link is dead even
+        # though the socket never errored.  The resulting ``timeout``
+        # surfaces through the normal error path and triggers a retry.
         idle = getattr(subscriber.node, "link_idle_timeout", 15.0)
         self._rlink = reactor_mod.StreamLink(
             self.sock,
@@ -1563,7 +1227,7 @@ class _InboundLink:
         self._rlink.start()
         return True
 
-    # -- reactor event handlers (run on the worker pool, serialized) ----
+    # -- event handlers (run on the worker pool, serialized per link) ---
     def _handle_tcp_events(self, events: list) -> None:
         subscriber = self.subscriber
         for _kind, payload, trace_id, pub_ns in events:
@@ -1621,6 +1285,9 @@ class _InboundLink:
                     )
                 reader = self._shm_reader
                 if reader is None or reader.slot_seq(slot) != seq:
+                    # The publisher reclaimed the slot before we got
+                    # here (we were too slow); it already counted the
+                    # drop on its side.
                     self.stale_drops += 1
                     subscriber.stale_drops += 1
                     continue
@@ -1646,14 +1313,6 @@ class _InboundLink:
                 )
                 if old is not None:
                     old.close()
-
-    def _send_ack(self, slot: int, seq: int) -> None:
-        """Slot acknowledgement on either path: non-blocking through the
-        reactor link, blocking ``send_ack`` on the reader thread."""
-        if self._rlink is not None:
-            self._rlink.write([shm.ack_bytes(slot, seq)])
-        else:
-            shm.send_ack(self.sock, slot, seq)
 
     # -- Link protocol --------------------------------------------------
     @property
@@ -1694,40 +1353,6 @@ class _InboundLink:
                 pass
             self.sock = None
 
-    def _arm_idle_timeout(self) -> None:
-        """Half-open detection: publishers keepalive idle links, so total
-        silence past ``link_idle_timeout`` means the link is dead even
-        though the socket never errored.  The resulting ``timeout``
-        surfaces through the normal error path and triggers a retry."""
-        idle = getattr(self.subscriber.node, "link_idle_timeout", 15.0)
-        if idle:
-            try:
-                self.sock.settimeout(idle)
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
-    # TCPROS streaming (length-framed messages on the data socket)
-    # ------------------------------------------------------------------
-    def _stream_tcpros(self) -> None:
-        subscriber = self.subscriber
-        self.transport = "TCPROS"
-        self._arm_idle_timeout()
-        subscriber._link_connected(self)
-        if self.traced:
-            while not self._closed:
-                frame, trace_id, pub_ns = tcpros.read_traced_frame(self.sock)
-                if trace_id:
-                    tracer.record(
-                        "recv", trace_id, pub_ns, time.monotonic_ns(),
-                        topic=subscriber.topic, transport="TCPROS",
-                        bytes=len(frame),
-                    )
-                self._deliver_frame(frame, trace_id, pub_ns)
-        else:
-            while not self._closed:
-                self._deliver_frame(tcpros.read_frame(self.sock), 0, 0)
-
     def _deliver_frame(self, frame, trace_id: int, pub_ns: int) -> None:
         """Decode (span-wrapped when traced) and dispatch one frame."""
         subscriber = self.subscriber
@@ -1746,96 +1371,6 @@ class _InboundLink:
             msg = subscriber.codec.decode(frame)
         subscriber._dispatch(msg, trace_id, pub_ns)
 
-    # ------------------------------------------------------------------
-    # TZC streaming (control + bulk frame pairs, reassembled in place)
-    # ------------------------------------------------------------------
-    def _stream_tzc(self) -> None:
-        subscriber = self.subscriber
-        self.transport = "TCPROS"
-        self.tzc = True
-        self._arm_idle_timeout()
-        subscriber._link_connected(self)
-        budget = tzc.BulkBudget()
-        while not self._closed:
-            buffer, order, trace_id, pub_ns = tzc.read_split(
-                self.sock, budget, traced=self.traced
-            )
-            if trace_id:
-                tracer.record(
-                    "recv", trace_id, pub_ns, time.monotonic_ns(),
-                    topic=subscriber.topic, transport="TZC",
-                    bytes=len(buffer),
-                )
-            subscriber.received_bytes += len(buffer)
-            if subscriber.raw:
-                subscriber._dispatch(bytes(buffer), trace_id, pub_ns)
-                continue
-            if trace_id:
-                start_ns = time.monotonic_ns()
-                msg = subscriber.codec.decode_adopted(buffer, order)
-                tracer.record(
-                    "decode", trace_id, start_ns, time.monotonic_ns(),
-                    topic=subscriber.topic,
-                )
-            else:
-                msg = subscriber.codec.decode_adopted(buffer, order)
-            subscriber._dispatch(msg, trace_id, pub_ns)
-
-    # ------------------------------------------------------------------
-    # SHMROS streaming (doorbell frames + shared-memory slots)
-    # ------------------------------------------------------------------
-    def _stream_shm(self, reply: dict[str, str]) -> None:
-        subscriber = self.subscriber
-        reader = shm.ShmRingReader(
-            reply["shm_segment"],
-            int(reply["shm_slots"]),
-            int(reply["shm_slot_bytes"]),
-        )
-        self.transport = "SHMROS"
-        self._arm_idle_timeout()
-        subscriber._link_connected(self)
-        # Buffered reader: one recv pulls a publisher's whole coalesced
-        # doorbell flush; later frames parse without a syscall.
-        doorbell = shm.DoorbellReader(self.sock)
-        try:
-            while not self._closed:
-                frame = doorbell.read_frame()
-                kind = frame[0]
-                if kind == "keepalive":
-                    continue
-                if kind == "slot":
-                    _kind, slot, seq, size, trace_id, pub_ns = frame
-                    if trace_id:
-                        tracer.record(
-                            "recv", trace_id, pub_ns, time.monotonic_ns(),
-                            topic=subscriber.topic, transport="SHMROS",
-                            bytes=size,
-                        )
-                    if reader.slot_seq(slot) != seq:
-                        # The publisher reclaimed the slot before we got
-                        # here (we were too slow); it already counted the
-                        # drop on its side.
-                        self.stale_drops += 1
-                        subscriber.stale_drops += 1
-                        continue
-                    self._dispatch_slot(reader, slot, seq, size,
-                                        trace_id, pub_ns)
-                elif kind == "inline":
-                    _kind, payload, trace_id, pub_ns = frame
-                    if trace_id:
-                        tracer.record(
-                            "recv", trace_id, pub_ns, time.monotonic_ns(),
-                            topic=subscriber.topic,
-                            transport="SHMROS-inline", bytes=len(payload),
-                        )
-                    self._deliver_frame(payload, trace_id, pub_ns)
-                elif kind == "reseg":
-                    _kind, name, slot_count, slot_bytes = frame
-                    reader.close()
-                    reader = shm.ShmRingReader(name, slot_count, slot_bytes)
-        finally:
-            reader.close()
-
     def _dispatch_slot(
         self, reader, slot: int, seq: int, size: int,
         trace_id: int = 0, pub_ns: int = 0,
@@ -1852,7 +1387,7 @@ class _InboundLink:
                 subscriber._dispatch(bytes(view), trace_id, pub_ns)
             finally:
                 del view
-                self._send_ack(slot, seq)
+                self._rlink.write([shm.ack_bytes(slot, seq)])
             return
         if trace_id:
             start_ns = time.monotonic_ns()
@@ -1878,7 +1413,7 @@ class _InboundLink:
                 # The callback kept a reference: detach it from the slot
                 # so the publisher can reclaim the memory.
                 record.materialize()
-            self._send_ack(slot, seq)
+            self._rlink.write([shm.ack_bytes(slot, seq)])
 
     def close(self) -> None:
         self._closed = True
@@ -1895,9 +1430,8 @@ class _InboundLink:
         if self.sock is not None:
             tcpros.quiet_close(self.sock)
         if rlink is not None and not self._finalized:
-            # Reactor links have no reader thread whose finally-block
-            # reports the closure; schedule the notification off-thread
-            # (callers may hold the subscriber lock).
+            # Report the closure off-thread: callers may hold the
+            # subscriber lock.
             reactor_mod.global_reactor().submit(self._finalize)
 
 
@@ -2135,24 +1669,6 @@ class Subscriber:
             self._refresh_state()
         old.close()
         return True
-
-    def transports(self) -> dict[str, int]:
-        """Connected link count per transport name (deprecated: aggregate
-        ``link.stats()["transport"]`` over :meth:`links` instead)."""
-        _deprecated(
-            "Subscriber.transports()",
-            'link.stats()["transport"] over sub.links()',
-        )
-        return self._transport_counts()
-
-    def _transport_counts(self) -> dict[str, int]:
-        with self._lock:
-            links = list(self._connected)
-        counts: dict[str, int] = {}
-        for link in links:
-            if link.transport:
-                counts[link.transport] = counts.get(link.transport, 0) + 1
-        return counts
 
     # ------------------------------------------------------------------
     # link_state (healthy / degraded / reconnecting / dead)

@@ -50,12 +50,6 @@ import uuid
 from collections import deque
 from typing import Callable, Iterable, Optional
 
-from repro.ros.transport.tcpros import (
-    batching_enabled,
-    read_exact,
-    send_parts,
-)
-
 try:  # pragma: no cover - exercised only where shm is unavailable
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover
@@ -532,76 +526,14 @@ class ShmRingReader:
 # ----------------------------------------------------------------------
 # Doorbell control frames
 # ----------------------------------------------------------------------
-def send_slot_frame(
-    sock: socket.socket, slot: int, seq: int, size: int,
-    trace_id: int = 0, stamp_ns: int = 0,
-) -> None:
-    if not _doorbell_allows(KIND_SLOT, sock, size):
-        return
-    sock.sendall(_FRAME.pack(KIND_SLOT, slot, seq, size, trace_id, stamp_ns))
-
-
-def send_inline_frame(
-    sock: socket.socket, payload, trace_id: int = 0, stamp_ns: int = 0
-) -> None:
-    """Oversize/no-shm fallback: the payload rides the doorbell socket."""
-    if not _doorbell_allows(KIND_INLINE, sock, len(payload)):
-        return
-    header = _FRAME.pack(KIND_INLINE, 0, 0, len(payload), trace_id, stamp_ns)
-    if hasattr(sock, "sendmsg"):
-        _sendmsg_all(sock, header, payload)
-    else:  # pragma: no cover - non-POSIX
-        sock.sendall(header)
-        sock.sendall(payload)
-
-
-def send_reseg_frame(
-    sock: socket.socket, name: str, slot_count: int, slot_bytes: int
-) -> None:
-    encoded = name.encode("utf-8")
-    if not _doorbell_allows(KIND_RESEG, sock, len(encoded)):
-        return
-    sock.sendall(
-        _FRAME.pack(KIND_RESEG, slot_count, len(encoded), slot_bytes, 0, 0)
-        + encoded
-    )
-
-
-def send_ack(sock: socket.socket, slot: int, seq: int) -> None:
-    sock.sendall(_FRAME.pack(KIND_ACK, slot, seq, 0, 0, 0))
-
-
-def send_keepalive(sock: socket.socket) -> None:
-    """Doorbell keepalive: lets an idle SHM link prove it is not
-    half-open (and lets a *stalled* doorbell be detected -- a wedged ring
-    swallows keepalives too, so the reader's idle timer fires)."""
-    if not _doorbell_allows(KIND_KEEPALIVE, sock, 0):
-        return
-    sock.sendall(_FRAME.pack(KIND_KEEPALIVE, 0, 0, 0, 0, 0))
-
-
-def send_frames(sock: socket.socket, frames: list) -> None:
-    """Coalesce several doorbell frames into one vectored send.
-
-    ``frames`` are the same tuples :func:`read_control_frame` returns
-    (``("slot", slot, seq, size, trace_id, stamp_ns)``,
-    ``("inline", payload, trace_id, stamp_ns)``,
-    ``("reseg", name, slot_count, slot_bytes)``, ``("ack", slot, seq)``,
-    ``("keepalive",)``).  Each frame passes the chaos doorbell gate
-    individually -- a fault plan that swallows slot announcements drops
-    exactly the frames it would have dropped unbatched -- and the ones
-    that pass travel in one syscall, in order.
-    """
-    parts = frames_to_parts(sock, frames)
-    if parts:
-        send_parts(sock, parts)
-
-
 def frames_to_parts(sock, frames: list) -> list:
-    """The encode half of :func:`send_frames`: the iovec list for a batch
-    of doorbell frames (chaos gate applied per frame).  The reactor write
-    path queues these on the link's outgoing buffer instead of sending
-    inline."""
+    """The iovec list for a batch of doorbell frames.
+
+    ``frames`` are the tuples :class:`DoorbellDecoder` yields.  Each
+    frame passes the chaos doorbell gate
+    individually -- a fault plan that swallows slot announcements drops
+    exactly those frames -- and the ones that pass are coalesced, in
+    order, so a flushed backlog costs one syscall."""
     parts: list = []
     pending = bytearray()
     for frame in frames:
@@ -637,7 +569,7 @@ def frames_to_parts(sock, frames: list) -> list:
             pending += encoded
         elif kind == "ack":
             _k, slot, seq = frame
-            pending += _FRAME.pack(KIND_ACK, slot, seq, 0, 0, 0)
+            pending += ack_bytes(slot, seq)
         elif kind == "keepalive":
             if not _doorbell_allows(KIND_KEEPALIVE, sock, 0):
                 continue
@@ -650,88 +582,26 @@ def frames_to_parts(sock, frames: list) -> list:
 
 
 def ack_bytes(slot: int, seq: int) -> bytes:
-    """The wire form of one ACK frame (the reactor path queues this on
-    the link's write buffer instead of a blocking :func:`send_ack`)."""
+    """The wire form of one ACK frame: the subscriber's per-message
+    reply, queued on its link's write buffer on its own."""
     return _FRAME.pack(KIND_ACK, slot, seq, 0, 0, 0)
 
 
-def read_control_frame(sock: socket.socket) -> tuple:
-    """Read one doorbell frame; returns a ``(kind, ...)`` tuple:
+class DoorbellDecoder:
+    """Incremental doorbell decoder.
+
+    ``feed(chunk)`` returns every frame completed by the chunk -- one
+    ``recv`` often carries a publisher's whole coalesced flush -- as
+    ``(kind, ...)`` tuples:
 
     - ``("slot", slot, seq, size, trace_id, stamp_ns)``
     - ``("inline", payload_bytearray, trace_id, stamp_ns)``
     - ``("reseg", segment_name, slot_count, slot_bytes)``
     - ``("ack", slot, seq)``
     - ``("keepalive",)``
-    """
-    return _decode_frame(
-        bytes(read_exact(sock, _FRAME.size)),
-        lambda count: read_exact(sock, count),
-    )
 
-
-def _decode_frame(header: bytes, read_body) -> tuple:
-    kind, a, b, c, trace_id, stamp_ns = _FRAME.unpack(header)
-    if kind == KIND_SLOT:
-        return ("slot", a, b, c, trace_id, stamp_ns)
-    if kind == KIND_INLINE:
-        return ("inline", read_body(c), trace_id, stamp_ns)
-    if kind == KIND_RESEG:
-        name = bytes(read_body(b)).decode("utf-8")
-        return ("reseg", name, a, c)
-    if kind == KIND_ACK:
-        return ("ack", a, b)
-    if kind == KIND_KEEPALIVE:
-        return ("keepalive",)
-    raise ShmTransportError(f"unknown doorbell frame kind {kind}")
-
-
-class DoorbellReader:
-    """Buffered doorbell-frame reader (the receive half of batching).
-
-    A publisher flushing a backlog packs many 37-byte control frames into
-    one segment; reading them with one ``recv`` syscall each would throw
-    the batching win away on the other side of the wire.  One ``recv``
-    here pulls whatever arrived -- often a whole batch -- and subsequent
-    frames parse straight out of the buffer.
-    """
-
-    __slots__ = ("_sock", "_buf", "_start")
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._buf = bytearray()
-        self._start = 0
-
-    def _read(self, count: int) -> bytearray:
-        buf = self._buf
-        while len(buf) - self._start < count:
-            if self._start:
-                del buf[: self._start]
-                self._start = 0
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("peer closed the connection")
-            buf += chunk
-        start = self._start
-        self._start = start + count
-        out = buf[start : start + count]
-        if self._start >= len(buf):
-            del buf[:]
-            self._start = 0
-        return out
-
-    def read_frame(self) -> tuple:
-        """One frame, as :func:`read_control_frame` tuples."""
-        return _decode_frame(bytes(self._read(_FRAME.size)), self._read)
-
-
-class DoorbellDecoder:
-    """Incremental doorbell decoder for the reactor's non-blocking reads.
-
-    ``feed(chunk)`` returns every frame completed by the chunk, as the
-    same tuples :func:`read_control_frame` yields.  Bodies (inline
-    payloads, reseg names) spanning chunk boundaries are reassembled.
+    Bodies (inline payloads, reseg names) spanning chunk boundaries are
+    reassembled.
     """
 
     __slots__ = ("_buf",)
@@ -747,7 +617,7 @@ class DoorbellDecoder:
         while True:
             if len(buf) - pos < _FRAME.size:
                 break
-            kind, a, b, c, _tid, _ns = _FRAME.unpack_from(buf, pos)
+            kind, a, b, c, trace_id, stamp_ns = _FRAME.unpack_from(buf, pos)
             body_len = 0
             if kind == KIND_INLINE:
                 body_len = c
@@ -756,26 +626,25 @@ class DoorbellDecoder:
             total = _FRAME.size + body_len
             if len(buf) - pos < total:
                 break
-            header = bytes(buf[pos : pos + _FRAME.size])
             body = buf[pos + _FRAME.size : pos + total]
-            events.append(_decode_frame(header, lambda _count: body))
+            if kind == KIND_SLOT:
+                events.append(("slot", a, b, c, trace_id, stamp_ns))
+            elif kind == KIND_INLINE:
+                events.append(("inline", body, trace_id, stamp_ns))
+            elif kind == KIND_RESEG:
+                events.append(("reseg", bytes(body).decode("utf-8"), a, c))
+            elif kind == KIND_ACK:
+                events.append(("ack", a, b))
+            elif kind == KIND_KEEPALIVE:
+                events.append(("keepalive",))
+            else:
+                raise ShmTransportError(
+                    f"unknown doorbell frame kind {kind}"
+                )
             pos += total
         if pos:
             del buf[:pos]
         return events
-
-
-def _sendmsg_all(sock: socket.socket, header: bytes, payload) -> None:
-    """Vectored send of header+payload, finishing any partial write."""
-    view = memoryview(payload)
-    total = len(header) + len(view)
-    sent = sock.sendmsg([header, view])
-    while sent < total:
-        if sent < len(header):
-            sock.sendall(header[sent:])
-            sent = len(header)
-            continue
-        sent += sock.send(view[sent - len(header) :])
 
 
 def next_slot_bytes(current: int, payload_size: int) -> int:

@@ -23,6 +23,7 @@ import threading
 from typing import Callable, Optional
 
 from repro.ros.exceptions import ConnectionHandshakeError
+from repro.ros.reactor import AcceptorLink
 
 _LEN = struct.Struct("<I")
 
@@ -36,10 +37,8 @@ MAX_FRAME = 64 * 1024 * 1024
 #: a half-open link (peer vanished without FIN) is told apart from a
 #: merely quiet topic.
 KEEPALIVE_WORD = 0xFFFFFFFF
-_KEEPALIVE = _LEN.pack(KEEPALIVE_WORD)
-#: The keepalive marker's wire bytes (the reactor write path queues this
-#: on a link's outgoing buffer instead of a blocking ``write_keepalive``).
-KEEPALIVE_FRAME = _KEEPALIVE
+#: The keepalive marker's wire bytes, queued on an idle link's write buffer.
+KEEPALIVE_FRAME = _LEN.pack(KEEPALIVE_WORD)
 
 
 # ----------------------------------------------------------------------
@@ -140,21 +139,6 @@ def read_exact(sock: socket.socket, count: int) -> bytearray:
     return buffer
 
 
-def read_exact_into(sock: socket.socket, view: memoryview) -> None:
-    """Fill ``view`` completely from the socket (EOF raises).
-
-    The receive half of zero-copy reassembly: a TZC bulk range lands
-    directly in its final position inside the adopted message buffer,
-    never staged through an intermediate bytearray."""
-    count = len(view)
-    got = 0
-    while got < count:
-        read = sock.recv_into(view[got:], count - got)
-        if read == 0:
-            raise ConnectionError("peer closed the connection")
-        got += read
-
-
 def read_frame(sock: socket.socket) -> bytearray:
     """Read one length-prefixed frame (silently skipping keepalives)."""
     while True:
@@ -166,11 +150,6 @@ def read_frame(sock: socket.socket) -> bytearray:
                 f"frame length {length} exceeds limit"
             )
         return read_exact(sock, length)
-
-
-def write_keepalive(sock: socket.socket) -> None:
-    """Write one in-band keepalive marker (no payload follows)."""
-    sock.sendall(_KEEPALIVE)
 
 
 #: Payloads at or below this ride in one coalesced buffer with their
@@ -188,15 +167,6 @@ _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 #: collapses N syscalls into one.
 BATCH_MAX_FRAMES = 16
 BATCH_MAX_BYTES = 64 * 1024
-
-
-def batching_enabled() -> bool:
-    """Send-side frame coalescing kill switch: ``REPRO_DOORBELL_BATCH=0``
-    restores one syscall per frame (TCPROS data frames and SHMROS
-    doorbell frames alike)."""
-    from repro import config
-
-    return config.doorbell_batch()
 
 
 def send_parts(sock: socket.socket, parts: list) -> None:
@@ -249,102 +219,12 @@ def write_frame(sock: socket.socket, payload) -> None:
         sent += sock.send(view[sent - len(prefix) :])
 
 
-def write_traced_frame(
-    sock: socket.socket, payload, trace_id: int = 0, stamp_ns: int = 0
-) -> None:
-    """``write_frame`` for a traced connection: the 16-byte observability
-    prefix rides inside the frame, coalesced with the length word so the
-    syscall pattern (and therefore the overhead) matches the untraced
-    path."""
-    if isinstance(payload, memoryview) and payload.itemsize != 1:
-        payload = payload.cast("B")
-    size = len(payload)
-    head = _LEN.pack(size + TRACE_PREFIX) + _TRACE.pack(trace_id, stamp_ns)
-    if size <= SMALL_FRAME:
-        sock.sendall(head + bytes(payload))
-        return
-    if not _HAS_SENDMSG:  # pragma: no cover - non-POSIX fallback
-        sock.sendall(head)
-        sock.sendall(payload)
-        return
-    view = payload if isinstance(payload, memoryview) else memoryview(payload)
-    total = len(head) + size
-    sent = sock.sendmsg([head, view])
-    while sent < total:
-        if sent < len(head):
-            sock.sendall(head[sent:])
-            sent = len(head)
-            continue
-        sent += sock.send(view[sent - len(head) :])
-
-
-def write_frames(sock: socket.socket, payloads: list) -> None:
-    """Write several length-prefixed frames in one vectored send.
-
-    The flush of a drained publisher queue: each payload keeps its own
-    length prefix (the receiver's framing is unchanged -- batching is
-    invisible on the wire), but N small messages cost one syscall instead
-    of N.  Small payloads are coalesced with their prefix; large ones ride
-    as separate iovecs so they are never copied.
-    """
-    parts: list = []
-    pending = bytearray()
-    for payload in payloads:
-        if isinstance(payload, memoryview) and payload.itemsize != 1:
-            payload = payload.cast("B")
-        size = len(payload)
-        if size <= SMALL_FRAME:
-            pending += _LEN.pack(size)
-            pending += payload
-        else:
-            if pending:
-                parts.append(bytes(pending))
-                pending = bytearray()
-            parts.append(_LEN.pack(size))
-            parts.append(
-                payload if isinstance(payload, memoryview)
-                else memoryview(payload)
-            )
-    if pending:
-        parts.append(bytes(pending))
-    if parts:
-        send_parts(sock, parts)
-
-
-def write_traced_frames(sock: socket.socket, entries: list) -> None:
-    """``write_frames`` for a traced connection: ``entries`` are
-    ``(payload, trace_id, stamp_ns)`` triples and every frame carries the
-    16-byte observability prefix."""
-    parts: list = []
-    pending = bytearray()
-    for payload, trace_id, stamp_ns in entries:
-        if isinstance(payload, memoryview) and payload.itemsize != 1:
-            payload = payload.cast("B")
-        size = len(payload)
-        head = _LEN.pack(size + TRACE_PREFIX) + _TRACE.pack(trace_id, stamp_ns)
-        if size <= SMALL_FRAME:
-            pending += head
-            pending += payload
-        else:
-            if pending:
-                parts.append(bytes(pending))
-                pending = bytearray()
-            parts.append(head)
-            parts.append(
-                payload if isinstance(payload, memoryview)
-                else memoryview(payload)
-            )
-    if pending:
-        parts.append(bytes(pending))
-    if parts:
-        send_parts(sock, parts)
-
-
 def frame_parts(payloads: list) -> list:
-    """The encode half of :func:`write_frames`: the iovec list for a
-    batch of length-prefixed frames (small payloads coalesced with their
-    prefixes, large ones zero-copy).  The reactor write path queues these
-    on a link's outgoing buffer instead of sending inline."""
+    """The iovec list for a batch of length-prefixed frames: each
+    payload keeps its own prefix, so batching is invisible on the wire.
+    Small payloads are coalesced with their prefixes, large ones ride as
+    separate zero-copy iovecs.  Links queue the result on their write
+    buffer; a blocking caller sends it with :func:`send_parts`."""
     parts: list = []
     pending = bytearray()
     for payload in payloads:
@@ -398,8 +278,8 @@ def traced_frame_parts(entries: list) -> list:
 def quiet_close(sock) -> None:
     """Close a socket absorbing every teardown error.
 
-    Interpreter shutdown races (daemon send loops closing sockets while
-    the socket module is being torn down) can surface odd exceptions from
+    Interpreter shutdown races (links closing sockets while the socket
+    module is being torn down) can surface odd exceptions from
     ``close``; link teardown must be idempotent and exception-free."""
     if sock is None:
         return
@@ -407,26 +287,6 @@ def quiet_close(sock) -> None:
         sock.close()
     except Exception:
         pass
-
-
-def read_traced_frame(sock: socket.socket) -> tuple[bytearray, int, int]:
-    """Read one traced frame: ``(payload, trace_id, stamp_ns)``.
-
-    The prefix is read separately so the payload lands in an exactly
-    sized buffer -- no slicing copy on the hot receive path.
-    """
-    while True:
-        (length,) = _LEN.unpack(bytes(read_exact(sock, 4)))
-        if length != KEEPALIVE_WORD:
-            break
-    if length > MAX_FRAME:
-        raise ConnectionHandshakeError(f"frame length {length} exceeds limit")
-    if length < TRACE_PREFIX:
-        raise ConnectionHandshakeError(
-            f"traced frame of {length} bytes cannot carry its prefix"
-        )
-    trace_id, stamp_ns = _TRACE.unpack(bytes(read_exact(sock, TRACE_PREFIX)))
-    return read_exact(sock, length - TRACE_PREFIX), trace_id, stamp_ns
 
 
 def exchange_header_as_client(
@@ -480,45 +340,20 @@ class TcpRosServer:
         self._listener.listen(256)
         self.host, self.port = self._listener.getsockname()
         self._closed = threading.Event()
-        self._thread = None
-        self._acceptor = None
-        from repro.ros import reactor as _reactor
-
-        if _reactor.reactor_enabled():
-            loop = _reactor.global_reactor()
-            self._acceptor = _reactor.AcceptorLink(
-                self._listener,
-                self._on_accept,
-                reactor=loop,
-                label=f"tcpros:{self.port}",
-            )
-            self._acceptor.start()
-        else:
-            self._thread = threading.Thread(
-                target=self._accept_loop, daemon=True,
-                name=f"tcpros:{self.port}"
-            )
-            self._thread.start()
+        self._acceptor = AcceptorLink(
+            self._listener,
+            self._on_accept,
+            label=f"tcpros:{self.port}",
+        )
+        self._acceptor.start()
 
     def _on_accept(self, sock: socket.socket, _addr) -> None:
-        # Reactor path: the accept happened on the loop thread; the
-        # handshake may block for seconds, so it rides a transient spawn.
+        # The accept happened on the loop thread; the handshake may block
+        # for seconds, so it rides a transient spawn.
         sock.setblocking(True)
-        from repro.ros.reactor import global_reactor
-
-        global_reactor().spawn_blocking(
+        self._acceptor.reactor.spawn_blocking(
             lambda: self._handshake(sock), name=f"tcpros-hs:{self.port}"
         )
-
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                break
-            threading.Thread(
-                target=self._handshake, args=(sock,), daemon=True
-            ).start()
 
     def _handshake(self, sock: socket.socket) -> None:
         try:
@@ -539,11 +374,7 @@ class TcpRosServer:
     def close(self) -> None:
         if not self._closed.is_set():
             self._closed.set()
-            if self._acceptor is not None:
-                self._acceptor.close()
-            quiet_close(self._listener)
-            if self._thread is not None:
-                self._thread.join(timeout=2.0)
+            self._acceptor.close()
 
 
 def reject_connection(sock: socket.socket, reason: str) -> None:

@@ -14,8 +14,8 @@ ship
   the arena as iovecs -- never staged through an intermediate buffer.
 
 The receiver allocates the whole buffer once, replays the gap bytes,
-and ``recv_into``\\ s each bulk range directly into its final position;
-the reassembled buffer is byte-identical to the classic serialized wire
+and copies each bulk range into its final position as it arrives; the
+reassembled buffer is byte-identical to the classic serialized wire
 (``tests/test_tzc_wire_parity.py`` checks all registered types) and is
 adopted as an external SFM record without a further copy.
 
@@ -42,9 +42,6 @@ from repro.ros.transport.tcpros import (
     KEEPALIVE_WORD,
     MAX_FRAME,
     TRACE_PREFIX,
-    read_exact,
-    read_exact_into,
-    send_parts,
 )
 from repro.sfm.layout import SkeletonLayout, bulk_regions
 
@@ -207,7 +204,7 @@ def begin_reassembly(
     control, ranges: list[tuple[int, int]], whole_size: int
 ) -> bytearray:
     """Allocate the destination buffer and replay the gap bytes; the
-    caller then fills each range (``recv_into``) in place."""
+    caller then fills each range in place."""
     buffer = bytearray(whole_size)
     view = memoryview(buffer)
     gaps = memoryview(control)[_CONTROL.size + len(ranges) * _RANGE.size :]
@@ -251,42 +248,11 @@ class BulkBudget:
 # ----------------------------------------------------------------------
 # Wire helpers (both frames are ordinary u32-length framing)
 # ----------------------------------------------------------------------
-def send_split(
-    sock,
-    parts: TzcParts,
-    trace_id: int = 0,
-    stamp_ns: int = 0,
-    traced: bool = False,
-) -> None:
-    """Send one split message: control frame then bulk frame, one
-    vectored syscall, the bulk ranges as iovecs (zero staging copy).
-    Only the control frame carries the trace prefix on traced links."""
-    iov: list = []
-    if traced:
-        iov.append(
-            _LEN.pack(len(parts.control) + TRACE_PREFIX)
-            + _TRACE.pack(trace_id, stamp_ns)
-            + parts.control
-        )
-    else:
-        iov.append(_LEN.pack(len(parts.control)) + parts.control)
-    iov.append(_LEN.pack(parts.bulk_len))
-    iov.extend(parts.bulk)
-    send_parts(sock, iov)
-
-
-def send_split_batch(sock, entries: list, traced: bool = False) -> None:
-    """Flush several ``(parts, trace_id, stamp_ns)`` splits in one
-    vectored send (the TZC face of doorbell batching)."""
-    iov = split_batch_parts(entries, traced)
-    if iov:
-        send_parts(sock, iov)
-
-
 def split_batch_parts(entries: list, traced: bool = False) -> list:
-    """The encode half of :func:`send_split_batch`: the iovec list for a
-    batch of ``(parts, trace_id, stamp_ns)`` splits.  The reactor write
-    path queues these on the link's outgoing buffer.
+    """The iovec list for a batch of ``(parts, trace_id, stamp_ns)``
+    splits: per message a control frame then a bulk frame, the bulk
+    ranges as iovecs (zero staging copy).  Only the control frame
+    carries the trace prefix on traced links.
 
     The bulk entries stay zero-copy views into the publisher's arena;
     the caller's flush callback must hold the payload alive until the
@@ -306,70 +272,17 @@ def split_batch_parts(entries: list, traced: bool = False) -> list:
     return iov
 
 
-def read_split(
-    sock,
-    budget: Optional[BulkBudget] = None,
-    traced: bool = False,
-) -> tuple[bytearray, str, int, int]:
-    """Receive one split message; returns
-    ``(buffer, byte_order, trace_id, stamp_ns)``.
-
-    The buffer is freshly reassembled -- gap bytes from the control
-    frame, bulk ranges received directly into place -- and safe for the
-    caller to adopt as an SFM record without copying.
-    """
-    trace_id = stamp_ns = 0
-    while True:
-        (length,) = _LEN.unpack(bytes(read_exact(sock, 4)))
-        if length != KEEPALIVE_WORD:
-            break
-    if length > MAX_FRAME:
-        raise ConnectionHandshakeError(f"frame length {length} exceeds limit")
-    if traced:
-        if length < TRACE_PREFIX:
-            raise ConnectionHandshakeError(
-                "tzc control frame cannot carry its trace prefix"
-            )
-        trace_id, stamp_ns = _TRACE.unpack(
-            bytes(read_exact(sock, TRACE_PREFIX))
-        )
-        length -= TRACE_PREFIX
-    control = read_exact(sock, length)
-    whole_size, order, ranges = parse_control(control)
-    bulk_len = sum(length for _start, length in ranges)
-    if budget is not None:
-        budget.charge(bulk_len)
-    try:
-        while True:
-            (declared,) = _LEN.unpack(bytes(read_exact(sock, 4)))
-            if declared != KEEPALIVE_WORD:
-                break
-        if declared != bulk_len:
-            raise ConnectionHandshakeError(
-                f"tzc bulk frame of {declared} bytes does not match the "
-                f"control segment's {bulk_len}"
-            )
-        buffer = begin_reassembly(control, ranges, whole_size)
-        view = memoryview(buffer)
-        for start, length in ranges:
-            read_exact_into(sock, view[start : start + length])
-    finally:
-        if budget is not None:
-            budget.release(bulk_len)
-    return buffer, order, trace_id, stamp_ns
-
-
 class SplitDecoder:
-    """Incremental TZC reassembly for the reactor's non-blocking reads.
+    """Incremental TZC reassembly.
 
-    Replicates :func:`read_split`'s state machine -- control frame
-    (keepalive words skipped, trace prefix honoured), ``parse_control``
-    validation before any allocation, budget charge, bulk-length check,
-    then the ranges filled in place as bytes arrive.  ``feed(chunk)``
-    returns completed ``("message", buffer, order, trace_id, stamp_ns)``
-    events.  Unlike the blocking path's ``recv_into`` the bulk bytes pay
-    one staging copy out of the read buffer; the reassembled buffer is
-    still adopted without a further copy.
+    Control frame (keepalive words skipped, trace prefix honoured),
+    ``parse_control`` validation before any allocation, budget charge,
+    bulk-length check, then the ranges filled in place as bytes arrive.
+    ``feed(chunk)`` returns completed
+    ``("message", buffer, order, trace_id, stamp_ns)`` events.  The
+    buffer is freshly reassembled -- gap bytes from the control frame,
+    bulk bytes copied once out of the read buffer into place -- and safe
+    for the caller to adopt as an SFM record without copying.
     """
 
     __slots__ = ("budget", "traced", "_head", "_state", "_control_len",

@@ -189,12 +189,10 @@ def test_stall_doorbell_suppresses_shm_control_frames(plan_factory):
     plan.stall_doorbell()
     left, right = socket.socketpair()
     try:
-        shm.send_keepalive(left)
-        assert _drain(right) == b""  # suppressed
+        assert shm.frames_to_parts(left, [("keepalive",)]) == []  # suppressed
         plan.uninstall()
-        shm.send_keepalive(left)
-        kind = shm.read_control_frame(right)
-        assert kind[0] == "keepalive"
+        tcpros.send_parts(left, shm.frames_to_parts(left, [("keepalive",)]))
+        assert shm.DoorbellDecoder().feed(right.recv(4096)) == [("keepalive",)]
     finally:
         left.close()
         right.close()
@@ -203,7 +201,7 @@ def test_stall_doorbell_suppresses_shm_control_frames(plan_factory):
 def test_keepalive_word_is_invisible_to_frame_readers():
     left, right = socket.socketpair()
     try:
-        tcpros.write_keepalive(left)
+        left.sendall(tcpros.KEEPALIVE_FRAME)
         tcpros.write_frame(left, b"payload")
         assert bytes(tcpros.read_frame(right)) == b"payload"
     finally:

@@ -1,15 +1,16 @@
-"""Shim parity: the reactor and the threaded paths are observably equal.
+"""Reactor witnesses: fixed workloads with literal expected results, and
+the thread-count bound that is the point of a shared event loop.
 
-The tentpole's contract is that ``REPRO_REACTOR=0`` restores the
-thread-per-connection behaviour wholesale while the default reactor mode
-produces the same messages, the same service answers and the same bridge
-deliveries.  Each parity case runs the identical workload in two
-subprocesses -- one per mode -- and compares their JSON results.
+Each workload runs once in a fresh subprocess (so the thread counts are
+the child's own) and prints a JSON result.  The pub/sub, service and
+bridge workloads are deterministic -- one publisher, in-order links --
+so their results are asserted literally.
 
-The idle witness pins the tentpole's scaling claim: 512 established
-bridge connections parked on one server grow the process by at most the
-reactor's own fixed pool (1 loop + 3 workers), where the threaded
-server would have added ~2 threads per connection.
+The idle witness pins the scaling claim: 512 established bridge
+connections parked on one server grow the process by at most the
+reactor's own fixed pool (1 loop + 3 workers).  Its pub/sub sibling does
+the same for topic links: one live publisher streaming to 32 subscribers,
+half over TCPROS and half over SHMROS, owns no per-link thread.
 """
 
 from __future__ import annotations
@@ -19,28 +20,25 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
+#: 1 loop + WORKER_COUNT workers.
+REACTOR_POOL = 4
 
-def _run_child(script: str, mode: str, timeout: float = 180.0) -> dict:
+
+def _run_child(script: str, timeout: float = 180.0) -> dict:
     env = dict(os.environ)
-    env["REPRO_REACTOR"] = mode
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
     assert proc.returncode == 0, (
-        f"REPRO_REACTOR={mode} child failed:\n{proc.stdout}\n{proc.stderr}"
+        f"child failed:\n{proc.stdout}\n{proc.stderr}"
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# ----------------------------------------------------------------------
-# Workload children (run under both modes, results compared)
-# ----------------------------------------------------------------------
 PUBSUB_CHILD = r"""
 import json, threading
 from repro.msg.library import String
@@ -143,43 +141,90 @@ print(json.dumps({"clients": N, "before": before, "after": after,
                   "growth": after - before}))
 """
 
+# One subscriber node per transport (``shmros`` is a node option), 16
+# subscriptions each: node-level threads (XML-RPC slave, master watch)
+# exist before the baseline is taken, so the growth measured is what the
+# 32 links themselves cost.
+FANOUT_CHILD = r"""
+import json, threading
+from repro.msg.library import String
+from repro.ros.graph import RosGraph
+from repro.ros.retry import wait_until
 
-@pytest.mark.parametrize("child,name", [
-    (PUBSUB_CHILD, "pubsub"),
-    (SERVICE_CHILD, "services"),
-    (BRIDGE_CHILD, "bridge"),
-])
-def test_mode_parity(child, name):
-    reactor = _run_child(child, "1")
-    threaded = _run_child(child, "0")
-    assert reactor == threaded, (
-        f"{name}: reactor and threaded results diverge"
-    )
+N, MESSAGES = 32, 20
+counts, lock = [0] * N, threading.Lock()
+with RosGraph() as graph:
+    pub = graph.node("fan_pub").advertise("/fan", String)
+    tcp_node = graph.node("fan_tcp", shmros=False)
+    shm_node = graph.node("fan_shm")
+    before = threading.active_count()
+    subs = []
+    for index in range(N):
+        def on_msg(_msg, index=index):
+            with lock:
+                counts[index] += 1
+        node = tcp_node if index % 2 else shm_node
+        subs.append(node.subscribe("/fan", String, on_msg))
+    assert pub.wait_for_subscribers(N, timeout=30)
+    for i in range(MESSAGES):
+        msg = String(); msg.data = f"f{i}"
+        pub.publish(msg)
+    wait_until(lambda: min(counts) >= MESSAGES, timeout=30.0,
+               desc="every subscriber got every message")
+    transports = {}
+    for link in pub.links():
+        name = link.stats()["transport"]
+        transports[name] = transports.get(name, 0) + 1
+    # Dial spawns are transient; give the last of them a moment to exit.
+    wait_until(
+        lambda: not any(t.name.startswith("sub-dial:")
+                        for t in threading.enumerate()),
+        timeout=10.0, desc="dial spawns exited")
+    after = threading.active_count()
+    names = sorted(t.name for t in threading.enumerate())
+print(json.dumps({"transports": transports, "counts": counts,
+                  "growth": after - before, "threads": names}))
+"""
 
 
-def test_chaos_master_bounce_parity():
-    """The self-healing chaos suite passes with the kill switch thrown
-    (the default-mode run is the tier-1 suite itself)."""
-    env = dict(os.environ)
-    env["REPRO_REACTOR"] = "0"
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q",
-         "tests/chaos/test_master_bounce.py"],
-        capture_output=True, text=True, timeout=300.0, env=env,
-        cwd=os.path.join(os.path.dirname(__file__), os.pardir),
-    )
-    assert proc.returncode == 0, (
-        f"threaded-mode chaos suite failed:\n{proc.stdout}\n{proc.stderr}"
-    )
+def test_pubsub_delivers_in_order():
+    result = _run_child(PUBSUB_CHILD)
+    assert result == {"messages": [f"m{i}" for i in range(20)]}
+
+
+def test_service_answers():
+    assert _run_child(SERVICE_CHILD) == {"answers": [3, 42, 0]}
+
+
+def test_bridge_delivers_in_order_and_advertises():
+    result = _run_child(BRIDGE_CHILD)
+    assert result == {"messages": [f"b{i}" for i in range(10)], "chan": 1}
 
 
 def test_idle_512_connections_thread_bound():
     """512 parked bridge clients: the reactor adds at most its own fixed
     pool (loop + workers), not a pair of threads per connection."""
-    result = _run_child(IDLE_CHILD, "1", timeout=300.0)
+    result = _run_child(IDLE_CHILD, timeout=300.0)
     assert result["clients"] == 512
-    assert result["growth"] <= 4, (
-        f"thread growth {result['growth']} for 512 idle connections "
-        f"(threaded mode would add ~1024)"
+    assert result["growth"] <= REACTOR_POOL, (
+        f"thread growth {result['growth']} for 512 idle connections"
     )
+
+
+def test_fanout_32_subscribers_own_no_per_link_threads():
+    """One publisher streaming to 32 subscribers split TCPROS/SHMROS:
+    every message reaches every subscriber and the 32 links (64 link
+    objects, both ends in this process) add no thread beyond the
+    reactor pool."""
+    result = _run_child(FANOUT_CHILD, timeout=300.0)
+    assert result["transports"] == {"TCPROS": 16, "SHMROS": 16}
+    assert result["counts"] == [20] * 32
+    assert result["growth"] <= REACTOR_POOL, (
+        f"thread growth {result['growth']} for 32 live links: "
+        f"{result['threads']}"
+    )
+    per_link = [
+        name for name in result["threads"]
+        if name.startswith(("pub:", "pubmon:", "shmpub:", "shmack:", "sub:"))
+    ]
+    assert per_link == []

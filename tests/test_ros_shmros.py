@@ -4,7 +4,6 @@ zero-copy delivery."""
 from __future__ import annotations
 
 import multiprocessing
-import socket
 import threading
 import time
 
@@ -14,6 +13,7 @@ from repro.msg import library as L
 from repro.ros import RosGraph
 from repro.ros.transport import shm
 from repro.rossf import sfm_classes_for
+from tests.conftest import feed_splits
 
 pytestmark = pytest.mark.skipif(
     not shm.shm_available(), reason="multiprocessing.shared_memory missing"
@@ -108,51 +108,47 @@ class TestRing:
 
 
 class TestDoorbellFrames:
-    def _pair(self):
-        return socket.socketpair()
+    @staticmethod
+    def _roundtrip(frame: tuple) -> tuple:
+        """Encode one frame, decode it under every partition of the
+        bytes (whole, byte-at-a-time, seeded random splits)."""
+        wire = b"".join(shm.frames_to_parts(None, [frame]))
+        events, error = feed_splits(shm.DoorbellDecoder, wire)
+        assert error is None
+        (decoded,) = events
+        return decoded
 
     def test_slot_frame_roundtrip(self):
-        a, b = self._pair()
-        try:
-            shm.send_slot_frame(a, 3, 77, 1024)
-            assert shm.read_control_frame(b) == ("slot", 3, 77, 1024, 0, 0)
-        finally:
-            a.close()
-            b.close()
+        frame = ("slot", 3, 77, 1024, 0, 0)
+        assert self._roundtrip(frame) == frame
 
     def test_slot_frame_carries_trace(self):
-        a, b = self._pair()
-        try:
-            shm.send_slot_frame(a, 3, 77, 1024, trace_id=42, stamp_ns=9001)
-            assert shm.read_control_frame(b) == (
-                "slot", 3, 77, 1024, 42, 9001
-            )
-        finally:
-            a.close()
-            b.close()
+        frame = ("slot", 3, 77, 1024, 42, 9001)
+        assert self._roundtrip(frame) == frame
 
     def test_inline_frame_roundtrip(self):
-        a, b = self._pair()
-        try:
-            shm.send_inline_frame(a, b"payload bytes")
-            kind, payload, trace_id, stamp_ns = shm.read_control_frame(b)
-            assert kind == "inline"
-            assert bytes(payload) == b"payload bytes"
-            assert (trace_id, stamp_ns) == (0, 0)
-        finally:
-            a.close()
-            b.close()
+        kind, payload, trace_id, stamp_ns = self._roundtrip(
+            ("inline", b"payload bytes", 0, 0)
+        )
+        assert kind == "inline"
+        assert bytes(payload) == b"payload bytes"
+        assert (trace_id, stamp_ns) == (0, 0)
 
     def test_reseg_and_ack_roundtrip(self):
-        a, b = self._pair()
-        try:
-            shm.send_reseg_frame(a, "psm_abc", 8, 1 << 21)
-            assert shm.read_control_frame(b) == ("reseg", "psm_abc", 8, 1 << 21)
-            shm.send_ack(a, 5, 99)
-            assert shm.read_control_frame(b) == ("ack", 5, 99)
-        finally:
-            a.close()
-            b.close()
+        reseg = ("reseg", "psm_abc", 8, 1 << 21)
+        assert self._roundtrip(reseg) == reseg
+        assert self._roundtrip(("ack", 5, 99)) == ("ack", 5, 99)
+        assert shm.ack_bytes(5, 99) == b"".join(
+            shm.frames_to_parts(None, [("ack", 5, 99)])
+        )
+
+    def test_unknown_kind_is_the_same_error_under_every_split(self):
+        wire = shm._FRAME.pack(0x7F, 0, 0, 0, 0, 0)
+        events, error = feed_splits(shm.DoorbellDecoder, wire)
+        assert events == []
+        assert error == (
+            shm.ShmTransportError, "unknown doorbell frame kind 127"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -205,3 +205,16 @@ class TestMsgAndSfmCommands:
     def test_sfm_stats(self, capsys):
         assert main(["sfm", "stats"]) == 0
         assert "live records" in capsys.readouterr().out
+
+
+class TestConfigCommand:
+    def test_config_json_lists_exactly_the_eight_switches(self, capsys):
+        import json
+
+        assert main(["config", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["name"] for row in rows] == [
+            "REPRO_SFM_SLAB", "REPRO_SFM_CODEGEN", "REPRO_TZC",
+            "REPRO_SHMROS", "REPRO_TRANSPORT_PLANNER", "REPRO_OBS",
+            "REPRO_OBS_WIRE", "REPRO_SOAK",
+        ]

@@ -8,18 +8,17 @@ per accessor strategy with identical pseudo-random values, and compares
 them through every adoption path (round trip, cross-mode, big-endian).
 
 The second half checks the doorbell batching layer the same way: a
-coalesced ``send_frames`` batch must be byte-identical on the wire to
-the per-frame senders, decode in order through :class:`DoorbellReader`,
-respect the chaos gate per frame, and -- end to end, under a chaos delay
-plan that backs the queue up -- deliver the same messages in the same
-order whether the watermark flush batches them or the kill switch
-forces frame-at-a-time writes.
+coalesced ``frames_to_parts`` batch must be byte-identical on the wire
+to the same frames encoded one at a time, decode in order through
+:class:`DoorbellDecoder` under any split of the bytes, respect the chaos
+gate per frame, and -- end to end, under a chaos delay plan that backs
+the queue up so the watermark flush coalesces -- deliver every message
+in order.
 """
 
 from __future__ import annotations
 
 import random
-import socket
 import struct
 import threading
 import time
@@ -263,20 +262,13 @@ class TestAccessorParity:
 # ----------------------------------------------------------------------
 from repro.ros.transport import shm  # noqa: E402
 from repro.ros.transport import tcpros  # noqa: E402
+from repro.ros.reactor import FrameDecoder  # noqa: E402
+from tests.conftest import feed_splits  # noqa: E402
 
 shm_required = pytest.mark.skipif(
     not shm.shm_available() or shm.env_disabled(),
     reason="shared memory unavailable",
 )
-
-
-def _drain(sock: socket.socket) -> bytes:
-    chunks = []
-    while True:
-        chunk = sock.recv(65536)
-        if not chunk:
-            return b"".join(chunks)
-        chunks.append(chunk)
 
 
 class TestDoorbellBatching:
@@ -289,108 +281,70 @@ class TestDoorbellBatching:
         ("slot", 4, 8, 96, 0, 0),
     ]
 
-    def test_batched_wire_matches_per_frame_senders(self):
-        ref_tx, ref_rx = socket.socketpair()
-        shm.send_slot_frame(ref_tx, 3, 7, 64, 1234, 5678)
-        shm.send_ack(ref_tx, 3, 7)
-        shm.send_inline_frame(ref_tx, b"ride-along payload", 11, 22)
-        shm.send_reseg_frame(ref_tx, "segment_two", 4, 4096)
-        shm.send_keepalive(ref_tx)
-        shm.send_slot_frame(ref_tx, 4, 8, 96, 0, 0)
-        ref_tx.close()
-        reference = _drain(ref_rx)
-        ref_rx.close()
-
-        bat_tx, bat_rx = socket.socketpair()
-        shm.send_frames(bat_tx, list(self.FRAMES))
-        bat_tx.close()
-        batched = _drain(bat_rx)
-        bat_rx.close()
+    def test_batched_wire_matches_single_frame_encodes(self):
+        reference = b"".join(
+            b"".join(shm.frames_to_parts(None, [frame]))
+            for frame in self.FRAMES
+        )
+        batched = b"".join(shm.frames_to_parts(None, list(self.FRAMES)))
         assert batched == reference
 
-    def test_doorbell_reader_decodes_batch_in_order(self):
+    def test_doorbell_decoder_decodes_batch_in_order(self):
         large = bytes(range(256)) * 48  # 12 KiB: forces the iovec path
         frames = list(self.FRAMES) + [("inline", large, 0, 0)]
-        tx, rx = socket.socketpair()
-        shm.send_frames(tx, frames)
-        tx.close()
-        reader = shm.DoorbellReader(rx)
-        decoded = [reader.read_frame() for _ in range(len(frames))]
-        rx.close()
-        assert decoded[0] == ("slot", 3, 7, 64, 1234, 5678)
-        assert decoded[1] == ("ack", 3, 7)
-        kind, payload, trace_id, stamp_ns = decoded[2]
-        assert (kind, bytes(payload), trace_id, stamp_ns) == (
-            "inline", b"ride-along payload", 11, 22
-        )
-        assert decoded[3] == ("reseg", "segment_two", 4, 4096)
-        assert decoded[4] == ("keepalive",)
-        assert decoded[5] == ("slot", 4, 8, 96, 0, 0)
-        assert bytes(decoded[6][1]) == large
+        parts = shm.frames_to_parts(None, frames)
+        assert len(parts) > 1  # the large payload rides its own iovec
+        decoded, error = feed_splits(shm.DoorbellDecoder, b"".join(parts))
+        assert error is None
+        assert decoded == frames
 
     def test_chaos_gate_applies_per_frame_inside_a_batch(self):
         from repro.chaos import FaultPlan
 
         plan = FaultPlan().stall_doorbell(count=1).install()
         try:
-            tx, rx = socket.socketpair()
-            shm.send_frames(tx, [
+            parts = shm.frames_to_parts(None, [
                 ("slot", 1, 1, 8, 0, 0),
                 ("slot", 2, 2, 8, 0, 0),
             ])
-            tx.close()
-            reader = shm.DoorbellReader(rx)
-            survivor = reader.read_frame()
-            rx.close()
         finally:
             plan.uninstall()
-        assert survivor == ("slot", 2, 2, 8, 0, 0)
+        assert shm.DoorbellDecoder().feed(b"".join(parts)) == [
+            ("slot", 2, 2, 8, 0, 0)
+        ]
         assert ("drop", "shm", "send", 8) in plan.events
 
     def test_tcpros_batched_frames_decode_identically(self):
         payloads = [b"tiny", b"", b"x" * (tcpros.SMALL_FRAME + 16), b"tail"]
-        tx, rx = socket.socketpair()
-        tcpros.write_frames(tx, list(payloads))
-        for payload in payloads:
-            assert bytes(tcpros.read_frame(rx)) == payload
+        wire = b"".join(tcpros.frame_parts(list(payloads)))
+        assert wire == b"".join(
+            b"".join(tcpros.frame_parts([payload])) for payload in payloads
+        )
+        events, error = feed_splits(FrameDecoder, wire)
+        assert error is None
+        assert [bytes(ev[1]) for ev in events] == payloads
         entries = [(b"traced-%d" % i, 100 + i, 200 + i) for i in range(4)]
         entries.append((b"y" * (tcpros.SMALL_FRAME + 1), 999, 888))
-        tcpros.write_traced_frames(tx, list(entries))
-        for payload, trace_id, stamp_ns in entries:
-            got, got_trace, got_stamp = tcpros.read_traced_frame(rx)
-            assert (bytes(got), got_trace, got_stamp) == (
-                payload, trace_id, stamp_ns
-            )
-        tx.close()
-        rx.close()
-
-    def test_kill_switch_reads_environment(self, monkeypatch):
-        from repro import config
-
-        monkeypatch.setenv("REPRO_DOORBELL_BATCH", "0")
-        assert not tcpros.batching_enabled()
-        monkeypatch.delenv("REPRO_DOORBELL_BATCH")
-        config.reset()  # switches are read once; re-arm for the flip
-        assert tcpros.batching_enabled()
+        wire = b"".join(tcpros.traced_frame_parts(list(entries)))
+        events, error = feed_splits(lambda: FrameDecoder(traced=True), wire)
+        assert error is None
+        assert [(bytes(p), tid, ns) for _k, p, tid, ns in events] == entries
 
 
 @shm_required
 class TestBatchedDeliveryEndToEnd:
-    """Watermark flush (batching on) and frame-at-a-time flush (kill
-    switch) must deliver the same messages in the same order while a
-    chaos delay plan stalls the doorbell and lets the queue coalesce."""
+    """A chaos delay plan holds the doorbell back so the queue behind it
+    coalesces into watermark flushes; every message still arrives, in
+    order."""
 
     COUNT = 30
 
-    def _stream(self, monkeypatch, batching: bool) -> list[int]:
+    def test_delivery_order_holds_while_the_doorbell_coalesces(self):
         from repro.chaos import FaultPlan
         from repro.msg.library import String
         from repro.ros import RosGraph
         from repro.ros.retry import wait_until
 
-        monkeypatch.setenv(
-            "REPRO_DOORBELL_BATCH", "1" if batching else "0"
-        )
         got: list[int] = []
         done = threading.Event()
 
@@ -422,11 +376,4 @@ class TestBatchedDeliveryEndToEnd:
         finally:
             plan.uninstall()
         assert plan.events, "the delay plan never fired"
-        return got
-
-    def test_batched_and_unbatched_deliver_identically(self, monkeypatch):
-        batched = self._stream(monkeypatch, batching=True)
-        unbatched = self._stream(monkeypatch, batching=False)
-        expected = list(range(self.COUNT))
-        assert batched == expected
-        assert unbatched == expected
+        assert got == list(range(self.COUNT))

@@ -1,8 +1,10 @@
 """TZC wire parity: partial serialization must be invisible on the wire.
 
 For every registered type the TZC split (control segment + bulk ranges)
-is sent over a real socket pair and reassembled; the reassembled buffer
-must be byte-for-byte identical to the classic serialized wire, and the
+is encoded with the production encoder (``split_batch_parts``) and fed
+to the production decoder (``SplitDecoder``) whole, byte-at-a-time and
+at seeded random splits; the reassembled buffer must be byte-for-byte
+identical to the classic serialized wire under every partition, and the
 adopted message must read back the same fields.  Also covered: traced
 framing, zero-length vectors, big-endian adoption, nav_msgs/Path
 nesting, the abuse bounds (range-table caps, gap arithmetic, the
@@ -10,7 +12,6 @@ per-link bulk budget), and one full pub/sub leg through RouteD's mux.
 """
 
 import random
-import socket
 import threading
 
 import pytest
@@ -28,6 +29,7 @@ from repro.ros.exceptions import ConnectionHandshakeError
 from repro.ros.transport import tzc
 from repro.sfm.generator import sfm_class_for
 from repro.sfm.layout import convert_endianness
+from tests.conftest import feed_splits
 
 ALL_TYPES = default_registry.names()
 
@@ -98,29 +100,35 @@ def _populated(type_name: str, seed: str):
 
 
 # ----------------------------------------------------------------------
-# Socket round trip
+# Wire round trip
 # ----------------------------------------------------------------------
+def _decode(wire: bytes, budget=None, traced: bool = False):
+    """``wire`` through :class:`tzc.SplitDecoder` under every partition
+    (whole, byte-at-a-time, seeded random splits): ``(events, error)``.
+    One budget serves all partitions, so a leaked charge would fail the
+    later ones."""
+    if budget is None:
+        budget = tzc.BulkBudget()
+    return feed_splits(
+        lambda: tzc.SplitDecoder(budget, traced=traced), wire
+    )
+
+
 def _roundtrip(layout, wire: bytes, byte_order: str = "<",
                traced: bool = False, trace_id: int = 0,
                min_bulk: int = tzc.MIN_BULK):
-    """Split ``wire``, send it over a socketpair, read it back."""
+    """Split ``wire``, encode it for the socket, decode it back."""
     parts = tzc.split_message(
         layout, wire, len(wire), byte_order=byte_order, min_bulk=min_bulk
     )
-    left, right = socket.socketpair()
-    try:
-        sender = threading.Thread(
-            target=tzc.send_split,
-            args=(left, parts, trace_id, 7, traced),
-            daemon=True,
-        )
-        sender.start()
-        result = tzc.read_split(right, tzc.BulkBudget(), traced=traced)
-        sender.join(5)
-        return result
-    finally:
-        left.close()
-        right.close()
+    framed = b"".join(
+        tzc.split_batch_parts([(parts, trace_id, 7)], traced=traced)
+    )
+    events, error = _decode(framed, traced=traced)
+    assert error is None
+    ((kind, *result),) = events
+    assert kind == "message"
+    return tuple(result)
 
 
 # ----------------------------------------------------------------------
@@ -285,70 +293,67 @@ class TestAbuseBounds:
         budget.release(900)
         budget.charge(1000)  # fits again after release
 
-    def test_read_split_charges_and_releases_budget(self):
+    @staticmethod
+    def _image_parts(data: bytes):
         cls = sfm_class_for("sensor_msgs/Image")
         msg = cls()
-        msg.data = bytes(range(256)) * 16  # 4 KiB of bulk
+        msg.data = data
         wire = bytes(msg.to_wire())
-        parts = tzc.split_message(cls._layout, wire, len(wire))
+        return wire, tzc.split_message(cls._layout, wire, len(wire))
+
+    def test_decoder_charges_and_releases_budget(self):
+        wire, parts = self._image_parts(bytes(range(256)) * 16)  # 4 KiB bulk
         assert parts.bulk_len > 0
+        framed = b"".join(tzc.split_batch_parts([(parts, 0, 0)]))
         budget = tzc.BulkBudget(limit=parts.bulk_len)
-        left, right = socket.socketpair()
-        try:
-            sender = threading.Thread(
-                target=tzc.send_split, args=(left, parts), daemon=True
-            )
-            sender.start()
-            buffer, _o, _t, _n = tzc.read_split(right, budget)
-            sender.join(5)
-        finally:
-            left.close()
-            right.close()
+        decoder = tzc.SplitDecoder(budget)
+        assert decoder.feed(framed[:-1]) == []
+        assert budget.pending == parts.bulk_len  # charged while in flight
+        ((_kind, buffer, _o, _t, _n),) = decoder.feed(framed[-1:])
         assert bytes(buffer) == wire
         assert budget.pending == 0  # released after reassembly
+        # ... under every partition (an exactly-sized budget would reject
+        # the second message of any partition that leaked its charge).
+        events, error = _decode(framed + framed, budget)
+        assert error is None
+        assert [bytes(ev[1]) for ev in events] == [wire, wire]
+        assert budget.pending == 0 and budget.rejected == 0
 
-    def test_read_split_rejects_over_budget_message(self):
-        cls = sfm_class_for("sensor_msgs/Image")
-        msg = cls()
-        msg.data = bytes(4096)
-        wire = bytes(msg.to_wire())
-        parts = tzc.split_message(cls._layout, wire, len(wire))
+    def test_decoder_rejects_over_budget_message(self):
+        _wire, parts = self._image_parts(bytes(4096))
+        framed = b"".join(tzc.split_batch_parts([(parts, 0, 0)]))
         budget = tzc.BulkBudget(limit=parts.bulk_len - 1)
-        left, right = socket.socketpair()
-        try:
-            sender = threading.Thread(
-                target=tzc.send_split, args=(left, parts), daemon=True
-            )
-            sender.start()
-            with pytest.raises(ConnectionHandshakeError, match="budget"):
-                tzc.read_split(right, budget)
-            sender.join(5)
-        finally:
-            left.close()
-            right.close()
-        assert budget.rejected == 1
+        events, error = _decode(framed, budget)
+        assert events == []
+        assert error is not None and error[0] is ConnectionHandshakeError
+        assert "budget" in error[1]
+        assert budget.pending == 0  # rejected before anything was charged
+
+    def test_truncated_stream_yields_nothing(self):
+        """A stream cut mid-message (control, bulk length or bulk bytes)
+        produces no event and no error: the decoder just waits, and the
+        link's EOF/idle timeout is what ends it."""
+        wire, parts = self._image_parts(bytes(2048))
+        framed = b"".join(tzc.split_batch_parts([(parts, 0, 0)]))
+        control_end = 4 + len(parts.control)
+        for cut in (2, control_end - 1, control_end + 2, len(framed) - 1):
+            assert _decode(framed[:cut]) == ([], None)
+        events, error = _decode(framed + framed[: control_end + 2])
+        assert error is None
+        assert [bytes(ev[1]) for ev in events] == [wire]
 
     def test_bulk_frame_length_must_match_control(self):
-        cls = sfm_class_for("sensor_msgs/Image")
-        msg = cls()
-        msg.data = bytes(2048)
-        wire = bytes(msg.to_wire())
-        parts = tzc.split_message(cls._layout, wire, len(wire))
+        _wire, parts = self._image_parts(bytes(2048))
         import struct as _struct
         lying = (
             _struct.pack("<I", len(parts.control)) + parts.control
             + _struct.pack("<I", parts.bulk_len + 4)
             + b"".join(bytes(v) for v in parts.bulk) + bytes(4)
         )
-        left, right = socket.socketpair()
-        try:
-            left.sendall(lying)
-            with pytest.raises(ConnectionHandshakeError,
-                               match="does not match"):
-                tzc.read_split(right, tzc.BulkBudget())
-        finally:
-            left.close()
-            right.close()
+        events, error = _decode(lying)
+        assert events == []
+        assert error is not None and error[0] is ConnectionHandshakeError
+        assert "does not match" in error[1]
 
 
 # ----------------------------------------------------------------------
