@@ -76,20 +76,3 @@ def construct_image(msg_class, frame: bytes, workload: ImageWorkload,
     else:
         msg.data = bytearray(frame)
     return msg
-
-
-def construct_simple_image(msg_class, frame: bytes, workload: ImageWorkload,
-                           stamp) -> object:
-    """The paper's simplified StampedImage variant (Figs. 1/3)."""
-    msg = msg_class()
-    msg.stamp = stamp
-    msg.encoding = "rgb8"
-    msg.height = workload.height
-    msg.width = workload.width
-    from repro.sfm.message import SFMMessage
-
-    if isinstance(msg, SFMMessage):
-        msg.data = frame
-    else:
-        msg.data = bytearray(frame)
-    return msg

@@ -262,9 +262,6 @@ class WsConnection:
             self.sock.sendall(frame)
         return len(frame)
 
-    def send_close(self, code: int, reason: str = "") -> None:
-        self.send_frame(OP_CLOSE, _close_payload(code, reason))
-
 
 class WsDecoder:
     """Incremental RFC 6455 parser (the server side of the front door).

@@ -1,13 +1,14 @@
 """One window onto every ``REPRO_*`` environment switch.
 
-Eight switches, no more: transport choices (``REPRO_SHMROS``,
+Six switches, no more: transport choices (``REPRO_SHMROS``,
 ``REPRO_TZC``, ``REPRO_TRANSPORT_PLANNER``), observability
-(``REPRO_OBS``, ``REPRO_OBS_WIRE``), the SFM reference-path gates
-(``REPRO_SFM_SLAB``, ``REPRO_SFM_CODEGEN``) and ``REPRO_SOAK``.  The I/O
-model is not among them -- every connection runs on the reactor
-(:mod:`repro.ros.reactor`) and send-side frame coalescing is a constant
-of the link pumps.  No subsystem reads ``os.environ`` itself; they call
-the typed, *read-once* accessors here:
+(``REPRO_OBS``, ``REPRO_OBS_WIRE``) and ``REPRO_SOAK``.  The I/O model
+and the SFM accessor/allocator strategies are not among them -- every
+connection runs on the reactor (:mod:`repro.ros.reactor`), send-side
+frame coalescing is a constant of the link pump, compiled accessors
+follow the host's byte order and growth-mode records always take a
+slab.  No subsystem reads ``os.environ`` itself; they call the typed,
+*read-once* accessors here:
 
 - every switch is declared once in :data:`SWITCHES` with its default,
   type and a one-line description;
@@ -30,7 +31,7 @@ from typing import Optional
 
 __all__ = [
     "SWITCHES", "flag", "reset", "describe",
-    "sfm_slab", "sfm_codegen", "tzc", "shmros",
+    "tzc", "shmros",
     "transport_planner", "obs", "obs_wire", "soak",
 ]
 
@@ -63,10 +64,6 @@ class Switch:
 SWITCHES: dict[str, Switch] = {
     switch.name: switch
     for switch in (
-        Switch("REPRO_SFM_SLAB", True,
-               "slab-backed zero-copy growth for unsized SFM fields"),
-        Switch("REPRO_SFM_CODEGEN", True,
-               "compiled per-type accessors (struct/memoryview fast path)"),
         Switch("REPRO_TZC", True,
                "TZC partial serialization on remote SFM links"),
         Switch("REPRO_SHMROS", True,
@@ -130,14 +127,6 @@ def describe() -> list[dict]:
 # ----------------------------------------------------------------------
 # Typed accessors (what the subsystems call)
 # ----------------------------------------------------------------------
-def sfm_slab() -> bool:
-    return flag("REPRO_SFM_SLAB")
-
-
-def sfm_codegen() -> bool:
-    return flag("REPRO_SFM_CODEGEN")
-
-
 def tzc() -> bool:
     return flag("REPRO_TZC")
 

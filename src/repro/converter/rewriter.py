@@ -21,7 +21,6 @@ from repro.converter.analyzer import (
     STRING_REASSIGNMENT,
     VECTOR_MULTI_RESIZE,
     FileReport,
-    Violation,
 )
 
 _LIBRARY_MODULES = ("repro.msg.library", "repro.msg")
@@ -118,8 +117,3 @@ def conversion_guidance(report: FileReport) -> str:
         )
         lines.append(f"    guidance: {_GUIDANCE[violation.kind]}")
     return "\n".join(lines)
-
-
-def guidance_for_violation(violation: Violation) -> str:
-    """Guidance text for a single violation."""
-    return _GUIDANCE[violation.kind]

@@ -164,10 +164,6 @@ class FailoverMasterProxy:
     def get_param_names(self, caller_id):
         return self._call("getParamNames", caller_id)
 
-    def get_shard_info(self, caller_id):
-        return self._call("getShardInfo", caller_id)
-
-
 class ShardedMasterProxy:
     """Routes master calls to the shard that owns the name.
 

@@ -355,10 +355,6 @@ class RouteD:
             self._routes[(target[0], int(target[1]))] = (
                 peer[0], int(peer[1]))
 
-    def remove_route(self, target: tuple[str, int]) -> None:
-        with self._lock:
-            self._routes.pop((target[0], int(target[1])), None)
-
     def dial(self, host: str, port: int, timeout: float):
         """The transport connect hook: splice routed targets, pass on
         everything else (return None -> direct dial)."""

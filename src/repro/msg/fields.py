@@ -124,10 +124,6 @@ class ArrayType(FieldType):
         suffix = f"[{self.length}]" if self.length is not None else "[]"
         return self.element_type.name + suffix
 
-    @property
-    def is_variable_length(self) -> bool:
-        return self.length is None
-
     def is_fixed_size(self) -> bool:
         return self.length is not None and self.element_type.is_fixed_size()
 

@@ -72,10 +72,6 @@ class TypeRegistry:
             except KeyError:
                 raise UnknownTypeError(full_name) from None
 
-    def get_optional(self, full_name: str) -> Optional[MessageSpec]:
-        with self._lock:
-            return self._specs.get(full_name)
-
     def __contains__(self, full_name: str) -> bool:
         with self._lock:
             return full_name in self._specs

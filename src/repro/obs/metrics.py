@@ -330,11 +330,6 @@ class Registry:
             if collector not in self._collectors:
                 self._collectors.append(collector)
 
-    def unregister_collector(self, collector: Callable[[], None]) -> None:
-        with self._lock:
-            if collector in self._collectors:
-                self._collectors.remove(collector)
-
     def collect(self) -> None:
         """Run every collector (a failing collector is skipped, never
         fatal to the scrape)."""

@@ -121,10 +121,6 @@ class MasterRegistry:
                 raise MasterError(f"no provider for service {service!r}")
             return entry[1]
 
-    def service_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._services)
-
     # -- parameter server --------------------------------------------------
     def set_param(self, key: str, value) -> None:
         with self._lock:

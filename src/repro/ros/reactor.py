@@ -306,9 +306,6 @@ class Reactor:
         except (KeyError, ValueError, OSError):
             pass
 
-    def link_count(self) -> int:
-        return len(self._registered)
-
     def link_for(self, fd: int) -> Optional[Link]:
         """The link registered on ``fd``, if any (loop thread only)."""
         return self._registered.get(fd)
@@ -597,14 +594,19 @@ class StreamLink(Link):
         except (OSError, ValueError):
             return -1
 
-    def stats(self) -> dict:
+    def write_backlog(self) -> int:
+        """Bytes queued by :meth:`write` that have not reached the
+        kernel yet -- what a sender compares against its watermark
+        before queueing more."""
         with self._wlock:
-            depth = self._wqueued - self._wflushed
+            return self._wqueued - self._wflushed
+
+    def stats(self) -> dict:
         return {
             "label": self.label,
             "rx_bytes": self.rx_bytes,
             "tx_bytes": self.tx_bytes,
-            "write_backlog": depth,
+            "write_backlog": self.write_backlog(),
             "link_state": self.link_state,
         }
 

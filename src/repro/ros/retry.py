@@ -18,7 +18,6 @@ chaos soak harness.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -117,16 +116,3 @@ def wait_until(predicate, timeout: float = 10.0, interval: float = 0.01,
         if time.monotonic() >= deadline:
             raise TimeoutError(f"timed out after {timeout}s waiting for {desc}")
         time.sleep(interval)
-
-
-class CancellableTimer:
-    """A one-shot timer whose callback checks liveness itself; thin
-    wrapper so retry schedulers can cancel pending attempts on shutdown."""
-
-    def __init__(self, delay: float, callback) -> None:
-        self._timer = threading.Timer(delay, callback)
-        self._timer.daemon = True
-        self._timer.start()
-
-    def cancel(self) -> None:
-        self._timer.cancel()

@@ -109,9 +109,3 @@ class Time:
         if isinstance(other, Duration):
             return Time(self.secs - other.secs, self.nsecs - other.nsecs)
         return NotImplemented
-
-
-def stamp_to_tuple(stamp) -> tuple[int, int]:
-    """Normalize a Time/Duration/tuple to the wire ``(secs, nsecs)``."""
-    secs, nsecs = stamp
-    return int(secs), int(nsecs)

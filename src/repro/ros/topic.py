@@ -8,7 +8,8 @@ The user-facing API mirrors roscpp/rospy:
 
 Internally the publisher keeps one outbound link (socket + bounded queue,
 scheduled by the shared reactor) per connected subscriber; the subscriber
-keeps one inbound link per discovered publisher.  No link owns a thread.
+keeps one inbound link per discovered publisher (:mod:`repro.ros.links`).
+No link owns a thread.
 Payload encoding happens **once per publish** regardless of fan-out, and
 the payload's release hook (the SFM buffer pointer) fires only after
 every link has sent or dropped it -- reproducing the reference counting
@@ -21,8 +22,7 @@ import itertools
 import threading
 import time
 import uuid
-import xmlrpc.client
-from collections import deque
+from collections import Counter, deque
 from typing import Callable, Optional
 
 from repro.obs import instrument as obs_instrument
@@ -32,546 +32,29 @@ from repro.obs.trace import tracer
 from repro.ros import reactor as reactor_mod
 from repro.ros.codecs import codec_for_class, type_info_for_class
 from repro.ros.exceptions import TopicTypeMismatch
-from repro.ros.retry import CancellableTimer, DEFAULT_LINK_RETRY, RetryState
+from repro.ros.links import (
+    _InboundLink,
+    _OutboundLink,
+    _Outgoing,
+    _ShmWire,
+    _TcprosWire,
+    _TzcWire,
+)
+from repro.ros.retry import DEFAULT_LINK_RETRY, RetryState
 from repro.ros.transport import shm, tcpros, tzc
 from repro.ros.transport.intraprocess import local_bus
-from repro.sfm.manager import MessageState
 
 
-class _DrainDecoder:
-    """Outbound data sockets are one-way after the handshake: inbound
-    bytes are discarded, only EOF/reset (surfaced by the reactor's read)
-    matters."""
-
-    __slots__ = ()
-
-    def feed(self, data) -> list:
-        return []
-
-
-class _Outgoing:
-    """One encoded payload shared by all links; releases the codec's
-    payload hook when every link is done with it.
-
-    ``trace_id``/``pub_ns`` are the message's observability identity:
-    zero when untraced, otherwise carried on the wire by traced links so
-    the subscriber can stamp receive-side spans and the latency
-    histogram against the publish instant.
-    """
-
-    __slots__ = ("payload", "trace_id", "pub_ns", "tzc_parts", "_remaining",
-                 "_release", "_lock")
-
-    def __init__(self, payload, fanout: int, release,
-                 trace_id: int = 0, pub_ns: int = 0) -> None:
-        self.payload = payload
-        self.trace_id = trace_id
-        self.pub_ns = pub_ns
-        #: Precomputed TZC split (control + bulk iovecs), set once per
-        #: publish when any link negotiated TZC framing, so the split --
-        #: like the encode -- happens once regardless of fan-out.
-        self.tzc_parts = None
-        self._remaining = fanout
-        self._release = release
-        self._lock = threading.Lock()
-
-    def done(self) -> None:
-        with self._lock:
-            self._remaining -= 1
-            finished = self._remaining == 0
-        if finished and self._release is not None:
-            self._release()
-
-
-class _OutboundLink:
-    """Publisher-side connection to one subscriber."""
-
-    is_shm = False
-
-    def __init__(
-        self, publisher: "Publisher", sock, subscriber_id: str,
-        traced: bool = False, tzc_mode: bool = False,
-    ) -> None:
-        self.publisher = publisher
-        self.sock = sock
-        self.subscriber_id = subscriber_id
-        #: Both ends negotiated ``trace=1``: every frame carries the
-        #: 16-byte observability prefix (zeros for untraced messages).
-        self.traced = traced
-        #: Both ends negotiated ``tzc=1``: messages travel as a compact
-        #: control frame plus a bulk frame of arena-sliced iovecs instead
-        #: of one monolithic payload frame (partial serialization).
-        self.tzc = tzc_mode
-        self._queue: deque[_Outgoing] = deque()
-        self._lock = threading.Lock()
-        self._closed = False
-        self.dropped = 0
-        self.sent_count = 0
-        self.sent_bytes = 0
-        self._ka_timer = None
-        self._pump_scheduled = False
-        # EOF detection, sends and keepalives all ride the shared loop:
-        # this link owns zero threads.  The subscriber never speaks on a
-        # TCPROS data socket after the handshake, so the only read event
-        # that matters is EOF/reset -- a vanished subscriber is detected
-        # without waiting for the next send to fail.
-        loop = reactor_mod.global_reactor()
-        self._loop = loop
-        self._last_activity = time.monotonic()
-        self._rlink = reactor_mod.StreamLink(
-            sock,
-            _DrainDecoder(),
-            on_events=lambda events: None,
-            on_error=lambda exc: self._shutdown_from_error(),
-            reactor=loop,
-            label=f"pub:{publisher.topic}->{subscriber_id}",
-        )
-        self._rlink.start()
-        keepalive = getattr(publisher.node, "link_keepalive", 2.0)
-        if keepalive:
-            self._ka_timer = loop.call_later(
-                keepalive, self._keepalive_tick
-            )
-
-    def enqueue(self, outgoing: _Outgoing) -> None:
-        schedule = False
-        with self._lock:
-            if self._closed:
-                outgoing.done()
-                return
-            if (
-                self.publisher.queue_size
-                and len(self._queue) >= self.publisher.queue_size
-            ):
-                oldest = self._queue.popleft()
-                oldest.done()
-                self.dropped += 1
-                self.publisher.dropped_count += 1
-            self._queue.append(outgoing)
-            if not self._pump_scheduled:
-                self._pump_scheduled = True
-                schedule = True
-        if schedule:
-            self._loop.call_soon(self._pump)
-
-    def _depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
-    # -- unified Link protocol -----------------------------------------
-    @property
-    def link_state(self) -> str:
-        return "dead" if self._closed else "healthy"
-
-    def fileno(self) -> int:
-        try:
-            return self.sock.fileno()
-        except (OSError, ValueError, AttributeError):
-            return -1
-
-    def on_readable(self) -> None:
-        self._rlink.on_readable()
-
-    def on_writable(self) -> None:
-        self._rlink.on_writable()
-
-    def stats(self) -> dict:
-        return {
-            "transport": "TZC" if self.tzc else "TCPROS",
-            "subscriber": self.subscriber_id,
-            "sent": self.sent_count,
-            "bytes": self.sent_bytes,
-            "dropped": self.dropped,
-            "queue_depth": self._depth(),
-            "traced": self.traced,
-            "link_state": self.link_state,
-        }
-
-    # -- send path -------------------------------------------------------
-    def _pump(self) -> None:
-        """Drain the queue onto the reactor link's write buffer (loop
-        thread).  Everything already queued, up to the frame and byte
-        watermarks, goes out as one vectored write; a lone publish
-        flushes immediately, so latency is never traded for throughput.
-        Completion (``_Outgoing.done``) fires from the flush callback so
-        SFM payloads stay alive until their bytes leave the process."""
-        with self._lock:
-            self._pump_scheduled = False
-        while True:
-            batch: list[_Outgoing] = []
-            with self._lock:
-                nbytes = 0
-                while (
-                    self._queue
-                    and len(batch) < tcpros.BATCH_MAX_FRAMES
-                    and nbytes <= tcpros.BATCH_MAX_BYTES
-                ):
-                    outgoing = self._queue.popleft()
-                    batch.append(outgoing)
-                    nbytes += len(outgoing.payload)
-            if not batch:
-                return
-            traced = self.traced
-            if self.tzc:
-                parts = tzc.split_batch_parts(
-                    [(out.tzc_parts or self.publisher._tzc_split(out.payload),
-                      out.trace_id, out.pub_ns)
-                     for out in batch],
-                    traced=traced,
-                )
-            elif traced:
-                parts = tcpros.traced_frame_parts(
-                    [(out.payload, out.trace_id, out.pub_ns)
-                     for out in batch]
-                )
-            else:
-                parts = tcpros.frame_parts([out.payload for out in batch])
-            start_ns = (
-                time.monotonic_ns()
-                if traced and any(out.trace_id for out in batch)
-                else 0
-            )
-            self._last_activity = time.monotonic()
-            self._rlink.write(
-                parts,
-                on_flushed=lambda batch=batch, start_ns=start_ns:
-                    self._batch_flushed(batch, start_ns),
-            )
-
-    def _batch_flushed(self, batch: list, start_ns: int) -> None:
-        end_ns = time.monotonic_ns() if start_ns else 0
-        transport_label = "TZC" if self.tzc else "TCPROS"
-        closed = self._closed
-        for out in batch:
-            size = len(out.payload)
-            if not closed:
-                if self.traced and out.trace_id:
-                    tracer.record(
-                        "send", out.trace_id, start_ns, end_ns,
-                        topic=self.publisher.topic,
-                        transport=transport_label, bytes=size,
-                    )
-                self.sent_count += 1
-                self.sent_bytes += size
-            out.done()
-
-    def _keepalive_tick(self) -> None:
-        if self._closed:
-            return
-        keepalive = getattr(self.publisher.node, "link_keepalive", 2.0)
-        if not keepalive:
-            return
-        idle_for = time.monotonic() - self._last_activity
-        if idle_for >= keepalive and not self._depth() \
-                and not self._rlink._pending_write():
-            self._rlink.write([tcpros.KEEPALIVE_FRAME])
-            self._last_activity = time.monotonic()
-        self._ka_timer = self._loop.call_later(
-            keepalive, self._keepalive_tick
-        )
-
-    def _shutdown_from_error(self) -> None:
-        self.close()
-        self.publisher._remove_link(self)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pending = list(self._queue)
-            self._queue.clear()
-        for outgoing in pending:
-            outgoing.done()
-        if self._ka_timer is not None:
-            self._ka_timer.cancel()
-        self._rlink.close()
-
-
-class _ShmOutboundLink:
-    """Publisher-side SHMROS connection to one subscriber.
-
-    The socket that carried the handshake becomes the *doorbell*: the
-    pump writes tiny control frames (slot notifications, ring reseg
-    notices, or inline payloads when shared memory cannot serve), and
-    the slot acknowledgements decoded off the same socket let ring slots
-    be reused.  Queue overflow drops the oldest droppable entry and
-    releases its slot -- the same slow-subscriber policy as
-    ``_OutboundLink``.
-    """
-
-    is_shm = True
-
-    def __init__(
-        self, publisher: "Publisher", sock, subscriber_id: str, ring=None
-    ) -> None:
-        self.publisher = publisher
-        self.sock = sock
-        self.subscriber_id = subscriber_id
-        #: The ring this link's subscriber is currently attached to; when
-        #: the publisher grows the ring, a reseg notice is queued before
-        #: the first slot frame of the new ring (per-link frame order).
-        self.ring = ring if ring is not None else publisher._shm_ring
-        self._queue: deque[tuple] = deque()
-        #: Non-reseg entries in ``_queue``, maintained incrementally so
-        #: the bound check in ``_enqueue`` is O(1) per publish instead of
-        #: a scan of the (possibly deep) backlog.
-        self._droppable = 0
-        self._lock = threading.Lock()
-        self._closed = False
-        self.dropped = 0
-        self.sent_count = 0
-        self.sent_bytes = 0
-        self._ka_timer = None
-        self._pump_scheduled = False
-        # The doorbell socket's acks are decoded on the shared loop;
-        # sends and keepalives ride its write buffer.
-        loop = reactor_mod.global_reactor()
-        self._loop = loop
-        self._last_activity = time.monotonic()
-        self._rlink = reactor_mod.StreamLink(
-            sock,
-            shm.DoorbellDecoder(),
-            on_events=self._on_ack_events,
-            on_error=lambda exc: self._shutdown_from_error(),
-            reactor=loop,
-            label=f"shmpub:{publisher.topic}->{subscriber_id}",
-        )
-        self._rlink.start()
-        keepalive = getattr(publisher.node, "link_keepalive", 2.0)
-        if keepalive:
-            self._ka_timer = loop.call_later(
-                keepalive, self._keepalive_tick
-            )
-
-    def _on_ack_events(self, events: list) -> None:
-        for frame in events:
-            if frame[0] == "ack":
-                _kind, slot, seq = frame
-                self.publisher._shm_ack(slot, seq, self)
-
-    # ------------------------------------------------------------------
-    # Enqueueing (publisher thread)
-    # ------------------------------------------------------------------
-    def enqueue(self, outgoing: _Outgoing) -> None:
-        """Inline fallback (and latched replay): the payload itself rides
-        the doorbell socket, TCPROS-framed inside a control frame."""
-        self._enqueue(("inline", outgoing))
-
-    def enqueue_slot(
-        self, ring, slot: int, seq: int, size: int,
-        trace_id: int = 0, pub_ns: int = 0,
-    ) -> None:
-        self._enqueue(("slot", ring, slot, seq, size, trace_id, pub_ns))
-
-    def enqueue_reseg(self, ring) -> None:
-        self._enqueue(("reseg", ring))
-
-    def _enqueue(self, item: tuple) -> None:
-        with self._lock:
-            if self._closed:
-                self._discard(item)
-                return
-            queue_size = self.publisher.queue_size
-            if (
-                queue_size
-                and item[0] != "reseg"
-                and self._droppable >= queue_size
-            ):
-                # Drop the oldest droppable entry; reseg notices are
-                # control-plane and must never be dropped.
-                for index, candidate in enumerate(self._queue):
-                    if candidate[0] != "reseg":
-                        del self._queue[index]
-                        self._droppable -= 1
-                        self._discard(candidate)
-                        self.dropped += 1
-                        self.publisher.dropped_count += 1
-                        break
-            self._queue.append(item)
-            if item[0] != "reseg":
-                self._droppable += 1
-            schedule = not self._pump_scheduled
-            if schedule:
-                self._pump_scheduled = True
-        if schedule:
-            self._loop.call_soon(self._pump)
-
-    def _depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
-    # -- unified Link protocol -----------------------------------------
-    @property
-    def link_state(self) -> str:
-        return "dead" if self._closed else "healthy"
-
-    def fileno(self) -> int:
-        try:
-            return self.sock.fileno()
-        except (OSError, ValueError, AttributeError):
-            return -1
-
-    def on_readable(self) -> None:
-        self._rlink.on_readable()
-
-    def on_writable(self) -> None:
-        self._rlink.on_writable()
-
-    def stats(self) -> dict:
-        return {
-            "transport": "SHMROS",
-            "subscriber": self.subscriber_id,
-            "sent": self.sent_count,
-            "bytes": self.sent_bytes,
-            "dropped": self.dropped,
-            "queue_depth": self._depth(),
-            "link_state": self.link_state,
-        }
-
-    # -- send path -------------------------------------------------------
-    def _pump(self) -> None:
-        """Drain the doorbell queue onto the reactor link (loop thread).
-        Every slot announcement is a 37-byte control frame, so a burst of
-        small publishes is syscall-bound on the doorbell: the drained
-        queue goes out as one vectored write, while a lone publish still
-        flushes immediately (zero time watermark).  Inline payload
-        release fires from the flush callback."""
-        with self._lock:
-            self._pump_scheduled = False
-        while True:
-            batch: list[tuple] = []
-            with self._lock:
-                nbytes = 0
-                while (
-                    self._queue
-                    and len(batch) < tcpros.BATCH_MAX_FRAMES
-                    and nbytes <= tcpros.BATCH_MAX_BYTES
-                ):
-                    item = self._queue.popleft()
-                    if item[0] != "reseg":
-                        self._droppable -= 1
-                    batch.append(item)
-                    if item[0] == "inline":
-                        nbytes += len(item[1].payload)
-            if not batch:
-                return
-            frames, any_trace = self._batch_frames(batch)
-            start_ns = time.monotonic_ns() if any_trace else 0
-            parts = shm.frames_to_parts(self.sock, frames)
-            self._last_activity = time.monotonic()
-            flush = (
-                lambda batch=batch, start_ns=start_ns:
-                    self._batch_flushed(batch, start_ns)
-            )
-            if parts:
-                self._rlink.write(parts, on_flushed=flush)
-            else:
-                # The chaos gate swallowed every frame: the payloads are
-                # still spent.
-                flush()
-
-    def _batch_frames(self, batch: list) -> tuple[list, bool]:
-        frames: list[tuple] = []
-        any_trace = False
-        for item in batch:
-            if item[0] == "slot":
-                _kind, _ring, slot, seq, size, trace_id, pub_ns = item
-                frames.append(("slot", slot, seq, size, trace_id, pub_ns))
-                any_trace = any_trace or bool(trace_id)
-            elif item[0] == "inline":
-                outgoing = item[1]
-                frames.append((
-                    "inline", outgoing.payload, outgoing.trace_id,
-                    outgoing.pub_ns,
-                ))
-                any_trace = any_trace or bool(outgoing.trace_id)
-            else:  # reseg
-                ring = item[1]
-                frames.append((
-                    "reseg", ring.name, ring.slot_count, ring.slot_bytes
-                ))
-        return frames, any_trace
-
-    def _batch_flushed(self, batch: list, start_ns: int) -> None:
-        end_ns = time.monotonic_ns() if start_ns else 0
-        closed = self._closed
-        for item in batch:
-            if item[0] == "slot":
-                _kind, _ring, slot, seq, size, trace_id, pub_ns = item
-                if closed:
-                    continue
-                if trace_id:
-                    tracer.record(
-                        "send", trace_id, start_ns, end_ns,
-                        topic=self.publisher.topic, transport="SHMROS",
-                        bytes=size,
-                    )
-                self.sent_count += 1
-                self.sent_bytes += size
-            elif item[0] == "inline":
-                outgoing = item[1]
-                size = len(outgoing.payload)
-                if not closed:
-                    if outgoing.trace_id:
-                        tracer.record(
-                            "send", outgoing.trace_id, start_ns, end_ns,
-                            topic=self.publisher.topic,
-                            transport="SHMROS-inline", bytes=size,
-                        )
-                    self.sent_count += 1
-                    self.sent_bytes += size
-                outgoing.done()
-
-    def _keepalive_tick(self) -> None:
-        if self._closed:
-            return
-        keepalive = getattr(self.publisher.node, "link_keepalive", 2.0)
-        if not keepalive:
-            return
-        idle_for = time.monotonic() - self._last_activity
-        if idle_for >= keepalive and not self._depth() \
-                and not self._rlink._pending_write():
-            parts = shm.frames_to_parts(self.sock, [("keepalive",)])
-            if parts:
-                self._rlink.write(parts)
-            self._last_activity = time.monotonic()
-        self._ka_timer = self._loop.call_later(
-            keepalive, self._keepalive_tick
-        )
-
-    def _discard(self, item: tuple) -> None:
-        """Release whatever the queued entry was holding."""
-        if item[0] == "slot":
-            ring, slot, seq = item[1], item[2], item[3]
-            ring.release(slot, seq, self)
-        elif item[0] == "inline":
-            item[1].done()
-
-    def _note_reclaimed(self) -> None:
-        """The ring forcibly reclaimed a slot this subscriber had not yet
-        acknowledged (ring full, subscriber too slow)."""
-        self.dropped += 1
-        self.publisher.dropped_count += 1
-
-    def _shutdown_from_error(self) -> None:
-        self.close()
-        self.publisher._remove_link(self)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pending = list(self._queue)
-            self._queue.clear()
-            self._droppable = 0
-        for item in pending:
-            self._discard(item)
-        self.publisher._shm_drop_reader(self)
-        if self._ka_timer is not None:
-            self._ka_timer.cancel()
-        self._rlink.close()
+def _wait_for_connections(handle, event, count: int, timeout: float) -> bool:
+    """Block until ``handle`` has ``count`` connections; ``event`` is set
+    whenever one is added."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if handle.get_num_connections() >= count:
+            return True
+        event.clear()
+        event.wait(timeout=0.05)
+    return handle.get_num_connections() >= count
 
 
 class Publisher:
@@ -664,8 +147,6 @@ class Publisher:
             if release is not None:
                 release()
             return
-        shm_links = [link for link in links if link.is_shm]
-        tcp_links = [link for link in links if not link.is_shm]
         # Slab-backed SFM records carry delta bookkeeping (dirty floor /
         # clean owner): the ring write can then skip re-copying the
         # byte-stable prefix of a republished grown message.
@@ -674,36 +155,15 @@ class Publisher:
             if self.codec.format_name == "sfm"
             else None
         )
-        ticket = (
-            self._shm_write(payload, shm_links, record)
-            if shm_links else None
+        # One reference per link; what a link does with its share -- frame
+        # the payload, split it, or announce the ring slot the payload
+        # was copied into once for the whole shared-memory fan-out -- is
+        # its wire's business.
+        outgoing = _Outgoing(
+            payload, len(links), release, trace_id, pub_ns,
+            self._shm_write(payload, links, record),
         )
-        # The payload is referenced once per TCP link plus once for the
-        # whole shared-memory fan-out: the ring write above already copied
-        # the bytes into the slot shared by every SHM subscriber.
-        fanout = len(tcp_links) + (
-            1 if ticket is not None else len(shm_links)
-        )
-        outgoing = _Outgoing(payload, fanout, release, trace_id, pub_ns)
-        if any(getattr(link, "tzc", False) for link in tcp_links):
-            # Split once here (like the encode) so every TZC link in the
-            # fan-out shares the same control segment and bulk iovecs.
-            outgoing.tzc_parts = self._tzc_split(payload)
-        if shm_links:
-            if ticket is not None:
-                ring, slot, seq, size = ticket
-                for link in shm_links:
-                    if link.ring is not ring:
-                        link.enqueue_reseg(ring)
-                        link.ring = ring
-                    link.enqueue_slot(ring, slot, seq, size, trace_id, pub_ns)
-                outgoing.done()  # the SHM fan-out's shared reference
-            else:
-                # Shared memory unavailable (or the write failed): the
-                # payload travels inline over each doorbell socket.
-                for link in shm_links:
-                    link.enqueue(outgoing)
-        for link in tcp_links:
+        for link in links:
             link.enqueue(outgoing)
         if trace_id:
             tracer.record(
@@ -762,14 +222,12 @@ class Publisher:
             sock.close()
             return
         if ring is not None:
-            link = _ShmOutboundLink(
-                self, sock, header.get("callerid", "?"), ring=ring
-            )
+            wire = _ShmWire(ring)
+        elif grant_tzc:
+            wire = _TzcWire(traced, self.codec.msg_class._layout)
         else:
-            link = _OutboundLink(
-                self, sock, header.get("callerid", "?"), traced=traced,
-                tzc_mode=grant_tzc,
-            )
+            wire = _TcprosWire(traced)
+        link = _OutboundLink(self, sock, header.get("callerid", "?"), wire)
         # Reconnect dedupe: a handshake carrying the same (callerid,
         # link_instance) as a live link is the *same subscription*
         # re-dialing -- typically a watchdog replay against a master that
@@ -831,17 +289,27 @@ class Publisher:
             return None
         return self._ensure_shm_ring()
 
+    def _new_ring(self, slot_count: int, slot_bytes: int) -> shm.ShmRingWriter:
+        return shm.ShmRingWriter(
+            slot_count=slot_count,
+            slot_bytes=slot_bytes,
+            seq_source=self._shm_seq,
+            on_reclaim=lambda link: link._note_dropped(),
+        )
+
+    def _rings(self) -> list:
+        """Lock held.  The current ring and every superseded one."""
+        current = [self._shm_ring] if self._shm_ring is not None else []
+        return current + self._shm_retired
+
     def _ensure_shm_ring(self) -> Optional[shm.ShmRingWriter]:
         if not self._shm_enabled:
             return None
         with self._shm_lock:
             if self._shm_ring is None:
                 try:
-                    self._shm_ring = shm.ShmRingWriter(
-                        slot_count=self._shm_slots,
-                        slot_bytes=self._shm_slot_bytes,
-                        seq_source=self._shm_seq,
-                        on_reclaim=lambda link: link._note_reclaimed(),
+                    self._shm_ring = self._new_ring(
+                        self._shm_slots, self._shm_slot_bytes
                     )
                 except (OSError, shm.ShmTransportError):
                     # No shared memory on this host: disable for good so
@@ -850,16 +318,11 @@ class Publisher:
                     return None
             return self._shm_ring
 
-    def _tzc_split(self, payload) -> "tzc.TzcParts":
-        """Split an encoded SFM payload into control + bulk iovecs."""
-        return tzc.split_message(
-            self.codec.msg_class._layout, payload, len(payload)
-        )
-
-    def _shm_write(self, payload, readers, record=None) -> Optional[tuple]:
-        """Copy ``payload`` once into a ring slot shared by all SHM
-        subscribers; returns ``(ring, slot, seq, size)`` or None when the
-        payload must travel inline instead.
+    def _shm_write(self, payload, links, record=None) -> Optional[tuple]:
+        """Copy ``payload`` once into a ring slot shared by every link in
+        ``links`` whose subscriber reads a ring; returns ``(ring, slot,
+        seq, size)`` or None when there is no such link or the payload
+        must travel inline instead.
 
         ``record`` (a slab-backed SFM record, when the publisher knows
         it) unlocks the sticky-slot delta path: a republish of the same
@@ -870,19 +333,18 @@ class Publisher:
         byte-identically -- so ``[skeleton_size, dirty_floor)`` is
         byte-stable since ``mark_clean`` unless an untracked write
         capability escaped (``record.delta_unsafe``)."""
+        readers = [link for link in links if link.wire.ring is not None]
+        if not readers:
+            return None
         with self._shm_lock:
             ring = self._shm_ring
             if ring is None:
                 return None
             if len(payload) > ring.slot_bytes:
                 try:
-                    grown = shm.ShmRingWriter(
-                        slot_count=ring.slot_count,
-                        slot_bytes=shm.next_slot_bytes(
-                            ring.slot_bytes, len(payload)
-                        ),
-                        seq_source=self._shm_seq,
-                        on_reclaim=lambda link: link._note_reclaimed(),
+                    grown = self._new_ring(
+                        ring.slot_count,
+                        shm.next_slot_bytes(ring.slot_bytes, len(payload)),
                     )
                 except (OSError, shm.ShmTransportError):
                     return None
@@ -919,9 +381,7 @@ class Publisher:
         sequence counter is shared across rings, so a (slot, seq) pair is
         unambiguous even across a reseg)."""
         with self._shm_lock:
-            rings = (
-                [self._shm_ring] if self._shm_ring is not None else []
-            ) + self._shm_retired
+            rings = self._rings()
         for ring in rings:
             if ring.release(slot, seq, link):
                 break
@@ -929,9 +389,7 @@ class Publisher:
 
     def _shm_drop_reader(self, link) -> None:
         with self._shm_lock:
-            rings = (
-                [self._shm_ring] if self._shm_ring is not None else []
-            ) + self._shm_retired
+            rings = self._rings()
         for ring in rings:
             ring.drop_reader(link)
         self._gc_retired_rings()
@@ -984,13 +442,7 @@ class Publisher:
 
     def wait_for_subscribers(self, count: int = 1, timeout: float = 10.0) -> bool:
         """Block until at least ``count`` subscribers are connected."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.get_num_connections() >= count:
-                return True
-            self._link_event.clear()
-            self._link_event.wait(timeout=0.05)
-        return self.get_num_connections() >= count
+        return _wait_for_connections(self, self._link_event, count, timeout)
 
     def unadvertise(self) -> None:
         """Close every link and unregister from the master."""
@@ -1002,9 +454,7 @@ class Publisher:
         for link in links:
             link.close()
         with self._shm_lock:
-            rings = (
-                [self._shm_ring] if self._shm_ring is not None else []
-            ) + self._shm_retired
+            rings = self._rings()
             self._shm_ring = None
             self._shm_retired = []
         for ring in rings:
@@ -1016,423 +466,6 @@ class Publisher:
 
     def __exit__(self, *exc_info) -> None:
         self.unadvertise()
-
-
-class _InboundLink:
-    """Subscriber-side connection to one publisher.
-
-    Transport preference: SHMROS when both ends share a machine and allow
-    it, TCPROS otherwise.  Fallback is transparent at two levels -- the
-    publisher can decline shared memory in the handshake reply (the same
-    socket then carries plain TCPROS frames), and a subscriber-side
-    attach failure reconnects with SHMROS off.
-    """
-
-    def __init__(
-        self,
-        subscriber: "Subscriber",
-        publisher_uri: str,
-        allow_shm: Optional[bool] = None,
-        downgraded: bool = False,
-        planned_reason: str = "",
-    ) -> None:
-        self.subscriber = subscriber
-        self.publisher_uri = publisher_uri
-        self.sock = None
-        self.error: Optional[Exception] = None
-        #: "SHMROS" or "TCPROS" once connected (None before/after).
-        self.transport: Optional[str] = None
-        #: The retry scheduler forced this link off shared memory
-        #: (SHM -> TCPROS downgrade); surfaces as ``link_state=degraded``.
-        self.downgraded = downgraded
-        #: Why the transport planner dialed this link the way it did
-        #: ("" for links the planner did not touch).  A planned flip is a
-        #: *choice*, not a failure, so it never marks the link degraded.
-        self.planned_reason = planned_reason
-        #: None: decide from node/env.  False: the reconnect path already
-        #: burned its SHM attempts for this publisher.
-        self._allow_shm = allow_shm
-        #: The publisher confirmed ``trace=1``: frames carry the
-        #: observability prefix.
-        self.traced = False
-        #: The publisher confirmed ``tzc=1``: messages arrive as a
-        #: control + bulk frame pair (partial serialization).  Reported
-        #: as transport "TCPROS" -- the planner's ladder reasons about
-        #: SHMROS vs TCPROS, and TZC is a framing of the latter.
-        self.tzc = False
-        #: Slot notifications skipped because the publisher had already
-        #: reclaimed the slot by the time this subscriber got to it.
-        self.stale_drops = 0
-        self._closed = False
-        self._rlink = None
-        self._serial = None
-        self._shm_reader = None
-        self._finalized = False
-        self._finalize_lock = threading.Lock()
-        # The (legitimately blocking) dial + handshake rides a transient
-        # spawn; once connected the socket joins the shared loop and this
-        # link owns zero threads.
-        reactor_mod.global_reactor().spawn_blocking(
-            self._dial,
-            name=f"sub-dial:{subscriber.topic}<-{publisher_uri}",
-        )
-
-    def _dial(self) -> None:
-        """The connect phase on a transient spawn: negotiate, register
-        the socket with the reactor, exit.  Streaming errors arrive later
-        through :meth:`_stream_error`; this method only owns the dial."""
-        subscriber = self.subscriber
-        allow_shm = self._allow_shm
-        if allow_shm is None:
-            allow_shm = (
-                getattr(subscriber.node, "shmros", True)
-                and shm.shm_available()
-                and not shm.env_disabled()
-            )
-        try:
-            try:
-                connected = self._connect(allow_shm)
-            except shm.ShmAttachError:
-                # The publisher granted a segment we cannot map (stale
-                # name, exhausted /dev/shm, ...): renegotiate pure TCPROS
-                # while still on the blocking spawn.
-                connected = False
-                if not self._closed:
-                    self._reset_socket()
-                    connected = self._connect(False)
-        except Exception as exc:
-            self._stream_error(exc)
-        else:
-            if not connected or self._closed:
-                # Publisher declined (requestTopic != 1) or we were
-                # closed mid-dial: report the link closed.
-                self._finalize()
-
-    def _finalize(self) -> None:
-        """Exactly-once teardown notification to the subscriber."""
-        with self._finalize_lock:
-            if self._finalized:
-                return
-            self._finalized = True
-        self.close()
-        self.subscriber._link_closed(self)
-
-    def _stream_error(self, exc: Exception) -> None:
-        """The dial failed, or streaming failed after registration
-        (socket error, idle timeout, decode error, callback exception).
-        A refusal by the publisher (type/md5/format mismatch) or a
-        shared-memory failure is always recorded, so
-        ``wait_for_publishers`` debugging can surface it; anything else
-        only when unexpected -- an intentional close() tears the socket
-        down under the dial or the reactor."""
-        if not self._closed or isinstance(
-            exc,
-            (tcpros.ConnectionHandshakeError, TopicTypeMismatch,
-             shm.ShmTransportError),
-        ):
-            self.error = exc
-        self._finalize()
-
-    def _negotiate(self, allow_shm: bool) -> Optional[dict]:
-        """requestTopic + TCPROS handshake; returns the publisher's reply
-        header (None when the publisher declined the topic) with
-        ``self.sock``/``self.traced`` set."""
-        subscriber = self.subscriber
-        protocols = (
-            [["SHMROS", shm.machine_id()], ["TCPROS"]]
-            if allow_shm
-            else [["TCPROS"]]
-        )
-        proxy = xmlrpc.client.ServerProxy(self.publisher_uri, allow_none=True)
-        code, _status, protocol = proxy.requestTopic(
-            subscriber.node.name, subscriber.topic, protocols
-        )
-        if code != 1 or not protocol or protocol[0] not in ("TCPROS", "SHMROS"):
-            return None
-        host, port = protocol[1], protocol[2]
-        header = {
-            "callerid": subscriber.node.name,
-            "topic": subscriber.topic,
-            "type": subscriber.type_name,
-            "md5sum": subscriber.md5sum,
-            "format": subscriber.codec.format_name,
-            "tcp_nodelay": "1",
-            "link_instance": subscriber.instance_id,
-        }
-        if protocol[0] == "SHMROS":
-            header["shmros"] = "1"
-        if obs_trace.wire_enabled():
-            header["trace"] = "1"
-        if subscriber.codec.format_name == "sfm" and tzc.tzc_enabled():
-            # Capability, not a demand: the publisher only grants TZC
-            # framing when this link ends up on plain TCP.
-            header["tzc"] = "1"
-        self.sock, reply = tcpros.connect_subscriber(host, port, header)
-        their_format = reply.get("format", "ros")
-        if their_format != subscriber.codec.format_name:
-            raise TopicTypeMismatch(
-                f"publisher sends {their_format}, expected "
-                f"{subscriber.codec.format_name}"
-            )
-        self.traced = reply.get("trace") == "1"
-        return reply
-
-    def _connect(self, allow_shm: bool) -> bool:
-        """Negotiate, pick the decoder for the granted transport, and
-        register the data socket with the shared loop.  Returns False
-        when the publisher declined the topic.  The ring attach happens
-        here, still on the blocking spawn, so ``ShmAttachError`` reaches
-        the caller's renegotiate-without-SHM path."""
-        subscriber = self.subscriber
-        reply = self._negotiate(allow_shm)
-        if reply is None:
-            return False
-        loop = reactor_mod.global_reactor()
-        self._serial = loop.serial_queue(on_error=self._stream_error)
-        if reply.get("shm_segment"):
-            self._shm_reader = shm.ShmRingReader(
-                reply["shm_segment"],
-                int(reply["shm_slots"]),
-                int(reply["shm_slot_bytes"]),
-            )
-            self.transport = "SHMROS"
-            decoder = shm.DoorbellDecoder()
-            handler = self._handle_shm_events
-        elif reply.get("tzc") == "1":
-            self.transport = "TCPROS"
-            self.tzc = True
-            decoder = tzc.SplitDecoder(tzc.BulkBudget(), traced=self.traced)
-            handler = self._handle_tzc_events
-        else:
-            self.transport = "TCPROS"
-            decoder = reactor_mod.FrameDecoder(traced=self.traced)
-            handler = self._handle_tcp_events
-        # Half-open detection: publishers keepalive idle links, so total
-        # silence past ``link_idle_timeout`` means the link is dead even
-        # though the socket never errored.  The resulting ``timeout``
-        # surfaces through the normal error path and triggers a retry.
-        idle = getattr(subscriber.node, "link_idle_timeout", 15.0)
-        self._rlink = reactor_mod.StreamLink(
-            self.sock,
-            decoder,
-            on_events=lambda events, _h=handler: self._serial.push(
-                lambda: _h(events)
-            ),
-            on_error=self._stream_error,
-            reactor=loop,
-            label=f"sub:{subscriber.topic}<-{self.publisher_uri}",
-            idle_timeout=idle or 0.0,
-        )
-        subscriber._link_connected(self)
-        self._rlink.start()
-        return True
-
-    # -- event handlers (run on the worker pool, serialized per link) ---
-    def _handle_tcp_events(self, events: list) -> None:
-        subscriber = self.subscriber
-        for _kind, payload, trace_id, pub_ns in events:
-            if self._closed:
-                return
-            if trace_id:
-                tracer.record(
-                    "recv", trace_id, pub_ns, time.monotonic_ns(),
-                    topic=subscriber.topic, transport="TCPROS",
-                    bytes=len(payload),
-                )
-            self._deliver_frame(payload, trace_id, pub_ns)
-
-    def _handle_tzc_events(self, events: list) -> None:
-        subscriber = self.subscriber
-        for _kind, buffer, order, trace_id, pub_ns in events:
-            if self._closed:
-                return
-            if trace_id:
-                tracer.record(
-                    "recv", trace_id, pub_ns, time.monotonic_ns(),
-                    topic=subscriber.topic, transport="TZC",
-                    bytes=len(buffer),
-                )
-            subscriber.received_bytes += len(buffer)
-            if subscriber.raw:
-                subscriber._dispatch(bytes(buffer), trace_id, pub_ns)
-                continue
-            if trace_id:
-                start_ns = time.monotonic_ns()
-                msg = subscriber.codec.decode_adopted(buffer, order)
-                tracer.record(
-                    "decode", trace_id, start_ns, time.monotonic_ns(),
-                    topic=subscriber.topic,
-                )
-            else:
-                msg = subscriber.codec.decode_adopted(buffer, order)
-            subscriber._dispatch(msg, trace_id, pub_ns)
-
-    def _handle_shm_events(self, events: list) -> None:
-        subscriber = self.subscriber
-        for frame in events:
-            if self._closed:
-                return
-            kind = frame[0]
-            if kind == "keepalive":
-                continue
-            if kind == "slot":
-                _kind, slot, seq, size, trace_id, pub_ns = frame
-                if trace_id:
-                    tracer.record(
-                        "recv", trace_id, pub_ns, time.monotonic_ns(),
-                        topic=subscriber.topic, transport="SHMROS",
-                        bytes=size,
-                    )
-                reader = self._shm_reader
-                if reader is None or reader.slot_seq(slot) != seq:
-                    # The publisher reclaimed the slot before we got
-                    # here (we were too slow); it already counted the
-                    # drop on its side.
-                    self.stale_drops += 1
-                    subscriber.stale_drops += 1
-                    continue
-                self._dispatch_slot(reader, slot, seq, size,
-                                    trace_id, pub_ns)
-            elif kind == "inline":
-                _kind, payload, trace_id, pub_ns = frame
-                if trace_id:
-                    tracer.record(
-                        "recv", trace_id, pub_ns, time.monotonic_ns(),
-                        topic=subscriber.topic,
-                        transport="SHMROS-inline", bytes=len(payload),
-                    )
-                self._deliver_frame(payload, trace_id, pub_ns)
-            elif kind == "reseg":
-                _kind, name, slot_count, slot_bytes = frame
-                old = self._shm_reader
-                # Attach the grown ring before dropping the old one; an
-                # attach failure routes through the serial queue's
-                # on_error like any other stream failure.
-                self._shm_reader = shm.ShmRingReader(
-                    name, slot_count, slot_bytes
-                )
-                if old is not None:
-                    old.close()
-
-    # -- Link protocol --------------------------------------------------
-    @property
-    def link_state(self) -> str:
-        if self._closed or self.error is not None:
-            return "dead"
-        if self.transport is None:
-            return "reconnecting"
-        return "degraded" if self.downgraded else "healthy"
-
-    def fileno(self) -> int:
-        return -1 if self._rlink is None else self._rlink.fileno()
-
-    def on_readable(self) -> None:
-        if self._rlink is not None:
-            self._rlink.on_readable()
-
-    def on_writable(self) -> None:
-        if self._rlink is not None:
-            self._rlink.on_writable()
-
-    def stats(self) -> dict:
-        counters = self._rlink.stats() if self._rlink is not None else {}
-        return {
-            "transport": "TZC" if self.tzc else (self.transport or "-"),
-            "publisher": self.publisher_uri,
-            "stale_drops": self.stale_drops,
-            "rx_bytes": counters.get("rx_bytes", 0),
-            "traced": self.traced,
-            "link_state": self.link_state,
-        }
-
-    def _reset_socket(self) -> None:
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-            self.sock = None
-
-    def _deliver_frame(self, frame, trace_id: int, pub_ns: int) -> None:
-        """Decode (span-wrapped when traced) and dispatch one frame."""
-        subscriber = self.subscriber
-        subscriber.received_bytes += len(frame)
-        if subscriber.raw:
-            subscriber._dispatch(bytes(frame), trace_id, pub_ns)
-            return
-        if trace_id:
-            start_ns = time.monotonic_ns()
-            msg = subscriber.codec.decode(frame)
-            tracer.record(
-                "decode", trace_id, start_ns, time.monotonic_ns(),
-                topic=subscriber.topic,
-            )
-        else:
-            msg = subscriber.codec.decode(frame)
-        subscriber._dispatch(msg, trace_id, pub_ns)
-
-    def _dispatch_slot(
-        self, reader, slot: int, seq: int, size: int,
-        trace_id: int = 0, pub_ns: int = 0,
-    ) -> None:
-        """One zero-copy delivery: adopt the slot in place, run the
-        callback, detach if the user kept the message, acknowledge."""
-        subscriber = self.subscriber
-        subscriber.received_bytes += size
-        view = reader.payload_view(slot, size)
-        if subscriber.raw:
-            # Raw delivery must copy out of the slot: the bytes object is
-            # the callback's to keep, the slot goes back to the publisher.
-            try:
-                subscriber._dispatch(bytes(view), trace_id, pub_ns)
-            finally:
-                del view
-                self._rlink.write([shm.ack_bytes(slot, seq)])
-            return
-        if trace_id:
-            start_ns = time.monotonic_ns()
-            msg = subscriber.codec.decode_external(view)
-            tracer.record(
-                "decode", trace_id, start_ns, time.monotonic_ns(),
-                topic=subscriber.topic,
-            )
-        else:
-            msg = subscriber.codec.decode_external(view)
-        # SFM messages borrow the slot memory itself; remember the record
-        # so we can copy it out *after* the callback if it is still alive.
-        record = getattr(msg, "_record", None)
-        try:
-            subscriber._dispatch(msg, trace_id, pub_ns)
-        finally:
-            del msg, view
-            if (
-                record is not None
-                and record.external
-                and record.state is not MessageState.DESTRUCTED
-            ):
-                # The callback kept a reference: detach it from the slot
-                # so the publisher can reclaim the memory.
-                record.materialize()
-            self._rlink.write([shm.ack_bytes(slot, seq)])
-
-    def close(self) -> None:
-        self._closed = True
-        rlink = self._rlink
-        if rlink is not None:
-            rlink.close()
-        reader = self._shm_reader
-        if reader is not None:
-            self._shm_reader = None
-            try:
-                reader.close()
-            except Exception:
-                pass
-        if self.sock is not None:
-            tcpros.quiet_close(self.sock)
-        if rlink is not None and not self._finalized:
-            # Report the closure off-thread: callers may hold the
-            # subscriber lock.
-            reactor_mod.global_reactor().submit(self._finalize)
 
 
 class Subscriber:
@@ -1496,7 +529,7 @@ class Subscriber:
         #: -- it is merely *suspect* until the socket itself dies.
         self._suspect: set[str] = set()
         self._retry: dict[str, RetryState] = {}
-        self._timers: dict[str, CancellableTimer] = {}
+        self._timers: dict[str, reactor_mod.Timer] = {}
         self._retry_policy = getattr(node, "link_retry", DEFAULT_LINK_RETRY)
         #: Lifetime reconnect attempts (the obs counter behind
         #: ``miniros_link_retries_total``).
@@ -1599,8 +632,12 @@ class Subscriber:
             state.exhausted = True
             self._exhausted(uri)
             return
-        self._timers[uri] = CancellableTimer(
-            policy.delay(state.attempts), lambda: self._retry_connect(uri)
+        # The reactor's timer heap is the one timer source; the redial
+        # itself takes the subscriber lock, so it runs on the worker pool.
+        loop = reactor_mod.global_reactor()
+        self._timers[uri] = loop.call_later(
+            policy.delay(state.attempts),
+            lambda: loop.submit(lambda: self._retry_connect(uri)),
         )
 
     def _retry_connect(self, uri: str) -> None:
@@ -1730,13 +767,9 @@ class Subscriber:
             return list(self._state_history)
 
     def wait_for_publishers(self, count: int = 1, timeout: float = 10.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.get_num_connections() >= count:
-                return True
-            self._connect_event.clear()
-            self._connect_event.wait(timeout=0.05)
-        return self.get_num_connections() >= count
+        return _wait_for_connections(
+            self, self._connect_event, count, timeout
+        )
 
     # ------------------------------------------------------------------
     # Delivery
@@ -1760,11 +793,9 @@ class Subscriber:
     def stats(self) -> dict:
         """Public snapshot for diagnostics/metrics collectors."""
         with self._lock:
-            links = list(self._connected)
-        transports: dict[str, int] = {}
-        for link in links:
-            transports[link.transport] = transports.get(link.transport, 0) + 1
-        with self._lock:
+            transports = dict(
+                Counter(link.transport for link in self._connected)
+            )
             state = self._state
             history = list(self._state_history)
             retries = self.retries

@@ -406,13 +406,6 @@ class ShmRingWriter:
                 self._unstick_slot(lru.slot)
         return result
 
-    def unstick(self, key: object) -> None:
-        """Drop ``key``'s sticky reservation (link teardown, reseg)."""
-        with self._lock:
-            st = self._sticky.pop(key, None)
-            if st is not None:
-                self._unstick_slot(st.slot)
-
     def _unstick_slot(self, slot: int) -> None:
         # Lock held.  A sticky slot bypassed the free list on its last
         # release; return it now unless a reader still holds it.
@@ -423,10 +416,6 @@ class ShmRingWriter:
             and slot not in self._free
         ):
             self._free.append(slot)
-
-    def sticky_count(self) -> int:
-        with self._lock:
-            return len(self._sticky)
 
     def idle(self) -> bool:
         with self._lock:

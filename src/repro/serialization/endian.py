@@ -50,8 +50,3 @@ def swap_region(buffer: bytearray, offset: int, item_size: int, count: int) -> N
     for lane in range(item_size):
         swapped[lane::item_size] = chunk[item_size - 1 - lane :: item_size]
     view[:] = swapped
-
-
-def swap_scalar(buffer: bytearray, offset: int, size: int) -> None:
-    """Reverse the byte order of one ``size``-byte scalar at ``offset``."""
-    swap_region(buffer, offset, size, 1)

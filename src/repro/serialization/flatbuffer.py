@@ -52,10 +52,6 @@ def _slot_size(ftype) -> int:
     return 4  # reference slot
 
 
-def _is_ref(ftype) -> bool:
-    return not isinstance(ftype, PrimitiveType)
-
-
 class FlatBufferBuildError(ValueError):
     """Raised on unsupported constructs or bad builder usage."""
 

@@ -88,12 +88,6 @@ class ROSSerializer(WireFormat):
             )
         return value
 
-    def serialized_length(self, msg) -> int:
-        """Wire size of ``msg`` (serializes into a scratch buffer)."""
-        scratch = bytearray()
-        self.serialize_into(msg, scratch)
-        return len(scratch)
-
     # ------------------------------------------------------------------
     # Writer compilation
     # ------------------------------------------------------------------

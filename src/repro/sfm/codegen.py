@@ -1,4 +1,4 @@
-"""Compiled per-type accessors: the ``REPRO_SFM_CODEGEN`` fast path.
+"""Compiled per-type accessors: the SFM field-access fast path.
 
 The generic descriptors of :mod:`repro.sfm.generator` pay, per access, a
 Python-level ``__get__`` dispatch, two descriptor attribute loads, offset
@@ -30,15 +30,13 @@ views: reads are zero-copy straight from the borrowed slot, and the first
 write raises ``TypeError`` into the slow path, which materializes the
 record -- exactly the copy-on-write semantics of the descriptor path.
 
-``REPRO_SFM_CODEGEN=0`` disables all of this and
-:func:`repro.sfm.generator.generate_sfm_class` emits the descriptor
-classes unchanged, so both paths stay testable against each other
-(``tests/test_sfm_codegen_parity.py``).
+``generate_sfm_class(codegen=False)`` emits the descriptor classes
+unchanged: they serve nested views and big-endian hosts, and are the
+reference ``tests/test_sfm_codegen_parity.py`` holds this module to.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
 from repro.sfm.layout import SkeletonLayout, Slot, cached_struct
@@ -62,17 +60,11 @@ _SLOW_EXCEPTIONS = (TypeError, ValueError, IndexError, BufferError)
 
 
 def codegen_enabled() -> bool:
-    """True when the compiled-accessor path is the default.
-
-    ``REPRO_SFM_CODEGEN=0`` is the kill switch.  Typed memoryviews read
-    native byte order and SFM buffers are little-endian, so a big-endian
-    host also falls back to the (order-explicit) descriptor path.
-    """
-    if sys.byteorder != "little":  # pragma: no cover - LE-only CI hosts
-        return False
-    from repro import config
-
-    return config.sfm_codegen()
+    """True when the compiled-accessor path is the default: typed
+    memoryviews read native byte order and SFM buffers are
+    little-endian, so a big-endian host falls back to the
+    (order-explicit) descriptor path."""
+    return sys.byteorder == "little"
 
 
 # ----------------------------------------------------------------------

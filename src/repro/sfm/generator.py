@@ -266,7 +266,8 @@ def generate_sfm_class(
 
     ``codegen`` selects the accessor strategy: compiled per-type accessors
     (:mod:`repro.sfm.codegen`) or the generic descriptors.  ``None`` (the
-    default) follows the ``REPRO_SFM_CODEGEN`` environment switch.  Both
+    default) picks the compiled accessors wherever the host's byte order
+    allows them (:func:`repro.sfm.codegen.codegen_enabled`).  Both
     flavors are cached independently so the parity suite can hold classes
     of each in one process.
     """

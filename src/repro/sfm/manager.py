@@ -254,11 +254,11 @@ class MessageManager:
         #: region is re-zeroed (expand() zeroes content grants).
         self._pool: dict[int, list[bytearray]] = {}
         self.recycle = recycle
-        # ``slabs``: None follows the REPRO_SFM_SLAB switch (global
-        # allocator), False forces the seed's pooled-bytearray path (the
-        # differential harness's "old copy path"), or pass an allocator.
+        # ``slabs``: None takes the global allocator, False forces the
+        # seed's pooled-bytearray path (the differential harness's "old
+        # copy path"), or pass an allocator.
         if slabs is None:
-            self._slabs = slab_mod.default_allocator()
+            self._slabs = slab_mod.global_slab_allocator
         elif slabs is False:
             self._slabs = None
         else:

@@ -147,14 +147,6 @@ class SFMMessage:
         object.__setattr__(self, "_owns", True)
         return self
 
-    @classmethod
-    def wrap_record(cls, record: MessageRecord, owning: bool = False):
-        """Wrap an existing record (used by the transport layer)."""
-        self = cls._view(record, 0, cls._layout.type_name)
-        if owning:
-            object.__setattr__(self, "_owns", True)
-        return self
-
     # ------------------------------------------------------------------
     # Life cycle
     # ------------------------------------------------------------------

@@ -27,15 +27,13 @@ messages; the manager routes growth-enabled records through it:
   is called after every step by the differential harness
   (``tests/test_sfm_slab_differential.py``).
 
-``REPRO_SFM_SLAB=0`` is the kill switch: the manager falls back to the
-seed's pooled-``bytearray`` path (see :func:`slab_enabled`).
+``MessageManager(slabs=False)`` keeps the seed's pooled-``bytearray``
+path as the reference the differential harness compares against.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Optional
 
 #: Smallest class handed out; growth records smaller than this still get
 #: a full class so their first few growths are free.
@@ -43,13 +41,6 @@ MIN_CLASS = 256
 
 #: Per-class free-list depth (mirrors the manager's buffer pool depth).
 FREE_DEPTH = 8
-
-
-def slab_enabled() -> bool:
-    """True unless ``REPRO_SFM_SLAB=0`` (the kill switch)."""
-    from repro import config
-
-    return config.sfm_slab()
 
 
 def size_class(nbytes: int) -> int:
@@ -282,10 +273,5 @@ class SlabAllocator:
             return stats
 
 
-#: Allocator behind the global message manager (when the switch is on).
+#: Allocator behind the global message manager.
 global_slab_allocator = SlabAllocator()
-
-
-def default_allocator() -> Optional[SlabAllocator]:
-    """The global allocator, or None when the kill switch is thrown."""
-    return global_slab_allocator if slab_enabled() else None

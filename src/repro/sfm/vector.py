@@ -573,10 +573,6 @@ class SfmVector(_SfmSequenceBase):
         self._record.note_write(self._offset)
         self._note_grant(nbytes)
 
-    def fill_from_buffer(self, data) -> None:
-        """Zero-copy-style bulk write for byte vectors (driver idiom)."""
-        self._assign(data)
-
 
 class SfmFixedArray(_SfmSequenceBase):
     """A fixed-length array field ``T[N]`` (elements inline, no skeleton

@@ -4,15 +4,12 @@ epoch-driven re-registration (the control-plane half of self-healing).
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.msg.library import String
 from repro.ros.master import MasterProxy
 from repro.ros.retry import (
     DEFAULT_MASTER_RETRY,
-    CancellableTimer,
     RetryPolicy,
     RetryState,
     wait_until,
@@ -76,15 +73,6 @@ class TestWaiters:
         with pytest.raises(TimeoutError, match="the missing thing"):
             wait_until(lambda: False, timeout=0.05, interval=0.01,
                        desc="the missing thing")
-
-    def test_cancellable_timer_fires_and_cancels(self):
-        fired = threading.Event()
-        CancellableTimer(0.01, fired.set)
-        assert fired.wait(1.0)
-        cancelled = threading.Event()
-        timer = CancellableTimer(0.05, cancelled.set)
-        timer.cancel()
-        assert not cancelled.wait(0.2)
 
 
 class TestMasterWatchdog:

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.ros.retry import wait_until
+from repro.ros.retry import RetryPolicy, wait_until
 from repro.ros.transport import shm, tzc
 from repro.sfm.generator import sfm_class_for
 from repro.sfm.manager import MessageManager
@@ -115,7 +115,11 @@ def test_truncated_tzc_bulk_frame_recovers(chaos_master, node_factory,
     a torn message, the retry ladder redials, delivery resumes."""
     plan = plan_factory(seed=23)
     pub_node = node_factory("trunc_pub", **TZC_KNOBS)
-    sub_node = node_factory("trunc_sub", **TZC_KNOBS)
+    # A redial delay long enough to observe the pending reconnect.
+    sub_node = node_factory(
+        "trunc_sub", link_retry=RetryPolicy(base_delay=0.25, jitter=0.0),
+        **TZC_KNOBS,
+    )
 
     cls = sfm_class_for("sensor_msgs/Image")
     payload = bytes(range(256)) * 64  # 16 KiB: comfortably a bulk range
@@ -142,6 +146,7 @@ def test_truncated_tzc_bulk_frame_recovers(chaos_master, node_factory,
     publish_one()
     wait_until(lambda: len(got) >= 1, desc="clean TZC delivery")
     assert got[0] == payload
+    threads = threading.active_count()
 
     # Truncate the next big publisher send (the vectored control+bulk
     # write) half-way, then kill the socket.
@@ -150,6 +155,10 @@ def test_truncated_tzc_bulk_frame_recovers(chaos_master, node_factory,
     publish_one()
 
     # The link must die and redial rather than deliver a torn message.
+    # The pending redial is a reactor timer: it costs no thread.
+    wait_until(lambda: subscriber.link_state == "reconnecting",
+               desc="reconnect pending")
+    assert threading.active_count() <= threads
     wait_until(lambda: subscriber.stats()["retries"] >= 1, timeout=10.0,
                desc="retry after truncation")
     wait_until(

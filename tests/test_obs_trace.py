@@ -2,7 +2,8 @@
 
 A traced pub/sub exchange must produce ``publish``, ``send``, ``recv``,
 ``decode`` (non-raw) and ``callback`` spans sharing one trace id, on one
-monotonic timeline -- over a TCPROS link and over a SHMROS link.
+monotonic timeline -- over a TCPROS link, a TZC-framed link and a SHMROS
+link, exactly one span of each name per delivered message.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro.msg.library import String
 from repro.obs.trace import Tracer, tracer
 from repro.ros.graph import RosGraph
+from repro.rossf import sfm_classes_for
 
 
 @pytest.fixture
@@ -26,8 +28,10 @@ def traced():
     tracer.clear()
 
 
-def _traced_exchange(shmros: bool):
-    """One publish over a fresh graph; returns the spans by name."""
+def _traced_exchange(shmros: bool, String=String):
+    """One publish over a fresh graph; returns the spans by name (one
+    span per name: every inbound framing shares one delivery routine,
+    so a second ``recv`` or ``decode`` span would be a second path)."""
     with RosGraph() as graph:
         pub_node = graph.node("talker", shmros=shmros)
         sub_node = graph.node("listener", shmros=shmros)
@@ -52,19 +56,24 @@ def _traced_exchange(shmros: bool):
             time.sleep(0.02)
     ids = [tid for tid in tracer.trace_ids() if tid]
     assert len(ids) == 1, f"expected one trace id, saw {ids}"
-    spans = {span.name: span for span in tracer.spans(ids[0])}
-    return ids[0], spans
+    spans = tracer.spans(ids[0])
+    names = sorted(span.name for span in spans)
+    assert names == ["callback", "decode", "publish", "recv", "send"], names
+    return ids[0], {span.name: span for span in spans}
 
 
 class TestTracedExchange:
-    @pytest.mark.parametrize("shmros", [False, True],
-                             ids=["tcpros", "shmros"])
-    def test_spans_cover_publish_to_callback(self, traced, shmros):
-        trace_id, spans = _traced_exchange(shmros=shmros)
-        for name in ("publish", "send", "recv", "decode", "callback"):
-            assert name in spans, f"missing {name!r} span: {spans}"
-        transport = spans["send"].args["transport"]
-        assert transport == ("SHMROS" if shmros else "TCPROS")
+    @pytest.mark.parametrize("transport", ["TCPROS", "TZC", "SHMROS"])
+    def test_spans_cover_publish_to_callback(self, traced, transport):
+        # An SFM topic between two nodes without shared memory
+        # negotiates TZC framing.
+        trace_id, spans = _traced_exchange(
+            shmros=transport == "SHMROS",
+            String=sfm_classes_for("std_msgs/String")[0]
+            if transport == "TZC" else String,
+        )
+        assert spans["send"].args["transport"] == transport
+        assert spans["recv"].args["transport"] == transport
         # One timeline: publish starts first, the callback ends last,
         # and the callback cannot start before the publish did.
         assert spans["publish"].start_ns <= spans["send"].start_ns

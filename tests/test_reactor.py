@@ -154,7 +154,11 @@ class TestStreamLink:
             # sever shape): no epoll event ever fires, the liveness
             # sweep must fail the link instead.  Generous wait: late in
             # a full-suite run this private loop thread competes with
-            # hundreds of leftover threads for the GIL.
+            # hundreds of leftover threads for the GIL -- so first let it
+            # complete the registration ``start()`` only queued; a socket
+            # closed before that is never registered, hence never reaped.
+            wait_until(lambda: loop.link_for(link.fileno()) is link,
+                       timeout=30.0, desc="registration")
             link.sock.close()
             assert wait_until(lambda: errors, timeout=30.0)
             assert link.link_state == "dead"

@@ -1,13 +1,20 @@
 """Integration tests for the full pub/sub middleware."""
 
+import socket
 import threading
 import time
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
 from repro.msg import library as L
-from repro.ros import RosGraph
+from repro.ros import RosGraph, links
+from repro.ros.codecs import codec_for_class
+from repro.ros.retry import wait_until
+from repro.ros.transport import shm, tcpros
 from repro.rossf import sfm_classes_for
+from repro.sfm import global_message_manager
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +209,162 @@ class TestQueueing:
         assert link.dropped > 0
         pub_node.shutdown()
         sub_node.shutdown()
+
+
+    @pytest.mark.parametrize("sfm", [False, True], ids=["ros", "sfm"])
+    @pytest.mark.parametrize("transport", ["TCPROS", "SHMROS"])
+    def test_non_reading_peer_is_bounded(self, graph, transport, sfm):
+        """A peer that handshakes and then never reads (and never acks,
+        so a full ring falls back to inline frames) pins ``queue_size``
+        entries plus one write watermark -- not the whole backlog."""
+        Image = sfm_classes_for("sensor_msgs/Image")[0] if sfm else L.Image
+        baseline = global_message_manager.live_count()
+        pub_node = graph.node("stall_pub")
+        pub = pub_node.advertise("/stall", Image, queue_size=2)
+        header = {
+            "callerid": "/stalled_peer", "topic": "/stall",
+            "type": pub.type_name, "md5sum": pub.md5sum,
+            "format": pub.codec.format_name,
+        }
+        if transport == "SHMROS":
+            header["shmros"] = "1"
+        server = pub_node._data_server
+        peer, reply = tcpros.connect_subscriber(
+            server.host, server.port, header
+        )
+        try:
+            assert bool(reply.get("shm_segment")) == (transport == "SHMROS")
+            link = wait_until(pub.links, desc="link up")[0]
+            data = bytes(1 << 20)
+            # Framing around one message: length word, trace prefix or
+            # doorbell header, plus the slot notices sharing its batch.
+            framing = 1024
+            for count in range(1, 301):
+                msg = Image(height=1024, width=1024, step=1024)
+                msg.data = data
+                pub.publish(msg)
+                del msg
+                one_message = pub.bytes_published // count + framing
+                assert link.stats()["queue_depth"] <= 2
+                assert link._rlink.stats()["write_backlog"] <= (
+                    tcpros.BATCH_MAX_BYTES + one_message
+                )
+            assert link.stats()["dropped"] > 0
+            assert pub.stats()["drops"] == link.stats()["dropped"]
+            if sfm:
+                # Queue + what the socket still holds, never the backlog.
+                assert global_message_manager.live_count() - baseline <= 4
+        finally:
+            peer.close()
+        wait_until(lambda: not pub.links(), desc="stalled link reaped")
+        wait_until(
+            lambda: global_message_manager.live_count() <= baseline,
+            desc="every payload released exactly once",
+        )
+        pub_node.shutdown()
+
+
+    @pytest.mark.parametrize("transport", ["TCPROS", "TZC", "SHMROS"])
+    def test_outbound_link_lifecycle(self, transport):
+        """The one outbound link under each of its three wires: the
+        queue bound, what is released on drop / send / close / enqueue
+        after close (each exactly once), the reseg notice that no drop
+        can lose, and the ``stats()`` key set."""
+        SString, = sfm_classes_for("std_msgs/String")
+        rings = [shm.ShmRingWriter(slot_count=8, slot_bytes=4096)
+                 for _ in range(2)]
+
+        class StubPublisher:
+            topic = "/unit"
+            queue_size = 2
+            dropped_count = 0
+            node = SimpleNamespace(link_keepalive=0)
+
+            def _shm_drop_reader(self, link):
+                for ring in rings:
+                    ring.drop_reader(link)
+
+            def _remove_link(self, link):
+                pass
+
+        wire = {
+            "TCPROS": lambda: links._TcprosWire(traced=False),
+            "TZC": lambda: links._TzcWire(False, SString._layout),
+            "SHMROS": lambda: links._ShmWire(rings[0]),
+        }[transport]()
+        publisher = StubPublisher()
+        near, far = socket.socketpair()
+        link = links._OutboundLink(publisher, near, "/peer", wire)
+        released = []
+
+        def enqueue(index):
+            payload, release = codec_for_class(SString).encode(
+                SString(data=f"message {index}")
+            )
+
+            def done():
+                release()
+                released.append(index)
+
+            ticket = None
+            if transport == "SHMROS":
+                # A ring the subscriber is not attached to yet: the
+                # first notice must be preceded by a reseg.
+                ticket = (rings[1],) + rings[1].write(payload, [link])
+            link.enqueue(links._Outgoing(payload, 1, done, ticket=ticket))
+
+        @contextmanager
+        def held_loop():
+            """The pump cannot drain what is enqueued meanwhile."""
+            gate = threading.Event()
+            link._loop.call_soon(lambda: gate.wait(10))
+            try:
+                yield
+            finally:
+                gate.set()
+
+        try:
+            with held_loop():
+                for index in range(3 * publisher.queue_size):
+                    enqueue(index)
+                assert link.dropped == publisher.dropped_count == 4
+                keys = {"transport", "subscriber", "sent", "bytes",
+                        "dropped", "queue_depth", "link_state"}
+                if transport != "SHMROS":
+                    keys.add("traced")
+                stats = link.stats()
+                assert set(stats) == keys
+                assert stats["transport"] == transport
+                assert stats["queue_depth"] == 2
+                # The ring holds the copy, so SHM payload references
+                # are back at once and the two queued notices hold
+                # their slots.
+                assert sorted(released) == list(
+                    range(6 if transport == "SHMROS" else 4)
+                )
+                assert rings[1].busy_count() == (transport == "SHMROS") * 2
+            wait_until(lambda: link.stats()["sent"] == 2, desc="flush")
+            assert sorted(released) == list(range(6))
+            if transport == "SHMROS":
+                # Four notices for the new ring were dropped; its reseg
+                # notice still precedes the first one that went out.
+                frames = shm.DoorbellDecoder().feed(far.recv(4096))
+                assert [f[0] for f in frames] == ["reseg", "slot", "slot"]
+                assert frames[0][1] == rings[1].name
+            with held_loop():
+                enqueue(6)
+                enqueue(7)
+                assert link.stats()["queue_depth"] == 2
+                link.close()  # non-empty queue: each entry released once
+                enqueue(8)  # after close: released on the spot
+                link.close()  # idempotent
+                assert sorted(released) == list(range(9))
+                assert rings[1].idle()
+                assert link.stats()["queue_depth"] == 0
+        finally:
+            far.close()
+            for ring in rings:
+                ring.close()
 
 
 class TestShutdown:

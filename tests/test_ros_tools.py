@@ -208,13 +208,12 @@ class TestMsgAndSfmCommands:
 
 
 class TestConfigCommand:
-    def test_config_json_lists_exactly_the_eight_switches(self, capsys):
+    def test_config_json_lists_exactly_the_six_switches(self, capsys):
         import json
 
         assert main(["config", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert [row["name"] for row in rows] == [
-            "REPRO_SFM_SLAB", "REPRO_SFM_CODEGEN", "REPRO_TZC",
-            "REPRO_SHMROS", "REPRO_TRANSPORT_PLANNER", "REPRO_OBS",
-            "REPRO_OBS_WIRE", "REPRO_SOAK",
+            "REPRO_TZC", "REPRO_SHMROS", "REPRO_TRANSPORT_PLANNER",
+            "REPRO_OBS", "REPRO_OBS_WIRE", "REPRO_SOAK",
         ]

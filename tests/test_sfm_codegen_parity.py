@@ -34,7 +34,6 @@ from repro.msg.fields import (
     StringType,
 )
 from repro.msg.registry import default_registry
-from repro.sfm import codegen as sfm_codegen
 from repro.sfm.generator import generate_sfm_class
 from repro.sfm.layout import convert_endianness
 
@@ -238,23 +237,6 @@ class TestAccessorParity:
             msg.header.frame_id = "odom"
         assert bytes(fast.to_wire()) == bytes(slow.to_wire())
         assert fast.pose.pose.position.x == slow.pose.pose.position.x == 1.5
-
-    def test_env_kill_switch(self, monkeypatch):
-        from repro import config
-
-        monkeypatch.setenv("REPRO_SFM_CODEGEN", "0")
-        assert not sfm_codegen.codegen_enabled()
-        assert (
-            generate_sfm_class("std_msgs/Header")
-            is generate_sfm_class("std_msgs/Header", codegen=False)
-        )
-        monkeypatch.setenv("REPRO_SFM_CODEGEN", "1")
-        config.reset()  # switches are read once; re-arm for the flip
-        assert sfm_codegen.codegen_enabled()
-        assert (
-            generate_sfm_class("std_msgs/Header")
-            is generate_sfm_class("std_msgs/Header", codegen=True)
-        )
 
 
 # ----------------------------------------------------------------------
