@@ -38,6 +38,7 @@ from repro.bridge.protocol import (
     TAG_JSON,
     TAG_RAW,
 )
+from repro.ros.transport import tcpros
 
 
 class BridgeError(Exception):
@@ -94,7 +95,10 @@ class BridgeClient:
         self._frag_bytes: dict[object, int] = {}
         self.max_frame = protocol.MAX_FRAME  # until hello_ok negotiates it
 
-        self.sock = self._connect(host, port, timeout)
+        self.sock, self._framing, leftover = self._connect(
+            host, port, timeout
+        )
+        self._decoder = self._framing.decoder()
         hello = {"op": "hello", "codec": codec, "id": self._next_id()}
         if max_frame is not None:
             hello["max_frame"] = max_frame
@@ -102,8 +106,9 @@ class BridgeClient:
         self._send_op(hello)
         # The handshake reply is read inline (the reader thread starts
         # after it) so construction fails loudly on a refused hello.
+        self._feed(leftover)
         while not pending.event.is_set():
-            self._handle_unit(*self._read_unit())
+            self._feed(self._recv())
         reply = self._await(pending, "hello")
         self.codec = reply["codec"]
         self.max_frame = reply["max_frame"]
@@ -114,12 +119,13 @@ class BridgeClient:
         )
         self._reader.start()
 
-    def _connect(self, host: str, port: int, timeout: float) -> socket.socket:
-        """Open the transport (hook: the ws client adds an HTTP upgrade
-        here and swaps the frame codec)."""
+    def _connect(self, host: str, port: int, timeout: float) -> tuple:
+        """Open the transport: ``(socket, framing, bytes already read
+        past the handshake)``.  The one thing a client for another wire
+        overrides (the ws client adds its HTTP upgrade here)."""
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+        return sock, protocol.LengthPrefixed(), b""
 
     # ------------------------------------------------------------------
     # Public ops
@@ -276,31 +282,44 @@ class BridgeClient:
         self._send_unit(TAG_JSON, protocol.encode_json_op(op))
 
     def _send_unit(self, tag: int, body: bytes) -> None:
+        parts, _wire = protocol.unit_parts(
+            self._framing, tag, body, self.max_frame, self._next_id
+        )
+        self._send_parts(parts)
+
+    def _send_parts(self, parts: list) -> None:
+        """One unit's parts (all its fragments), whole: senders on other
+        threads never interleave with it."""
         with self._send_lock:
-            if 5 + len(body) <= self.max_frame:
-                protocol.write_bridge_frame(self.sock, tag, body)
-                return
-            frag_id = self._next_id()
-            for fragment in protocol.fragment_unit(
-                tag, body, self.max_frame, frag_id
-            ):
-                protocol.write_bridge_frame(
-                    self.sock, TAG_JSON, protocol.encode_json_op(fragment)
-                )
+            tcpros.send_parts(self.sock, parts)
 
     # ------------------------------------------------------------------
     # Reader
     # ------------------------------------------------------------------
-    def _read_unit(self) -> tuple[int, bytearray, int]:
-        tag, body = protocol.read_bridge_frame(self.sock)
-        return tag, body, 5 + len(body)
+    def _recv(self) -> bytes:
+        data = self.sock.recv(65536)
+        if not data:
+            raise ConnectionError("bridge closed the connection")
+        return data
+
+    def _feed(self, data: bytes) -> None:
+        """Received bytes -> units -> handlers (control answers the
+        wire owes the server go straight back out)."""
+        events = self._decoder.feed(data)
+        for unit in self._framing.units(events, self._send_parts):
+            self._handle_unit(*unit)
 
     def _read_loop(self) -> None:
         try:
             while not self._closed:
-                self._handle_unit(*self._read_unit())
-        except (ConnectionError, OSError, BridgeProtocolError):
-            pass
+                self._feed(self._recv())
+        except (ConnectionError, OSError, BridgeProtocolError) as exc:
+            code = getattr(exc, "code", None)
+            if code is not None:
+                try:
+                    self._send_parts(self._framing.goodbye(code, exc.reason))
+                except OSError:
+                    pass
         finally:
             self.close()
 

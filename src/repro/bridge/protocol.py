@@ -22,6 +22,27 @@ control traffic.  Frames larger than the connection's negotiated
 ``max_frame`` are split into ``fragment`` ops (base64 chunks of the inner
 ``tag | body`` unit) and re-assembled by :class:`Reassembler` -- the
 rosbridge fragmentation capability, generalized to all three codecs.
+
+The same ``tag | body`` units ride three wires.  A **framing** is the
+value that knows one wire and nothing else; the server's ``Session`` and
+the blocking ``BridgeClient`` are both written against it:
+
+- ``name`` -- the transport label in ``describe()`` and the metrics;
+- ``hello_first`` -- the peer's first unit must be a ``hello`` op (the
+  wires that open with an HTTP upgrade have shaken hands already);
+- ``sequential`` -- fragment streams cannot legitimately interleave;
+- ``decoder()`` -- a fresh incremental decoder for received bytes;
+- ``units(events, reply)`` -- decoder events to ``(tag, body, wire)``
+  triples, ``wire`` being the bytes the unit took on the wire; control
+  answers the wire owes the peer are handed to ``reply(parts)``;
+- ``parts(tag, body)`` -- one unit as ``writev`` parts;
+- ``goodbye(code, reason)`` -- the parts that tell the peer why the
+  connection ends (empty where the wire has no such frame).  An
+  exception out of the decoder or ``units`` that carries ``code`` and
+  ``reason`` attributes is answered with them before the close.
+
+:class:`LengthPrefixed` is the raw-TCP framing; ``WebSocket`` and
+``ServerSentEvents`` live in :mod:`repro.bridge.ws`.
 """
 
 from __future__ import annotations
@@ -32,6 +53,7 @@ import socket
 import struct
 from typing import Iterator, Optional
 
+from repro.ros.reactor import FrameDecoder
 from repro.ros.transport import tcpros
 
 PROTOCOL_VERSION = "2.0"
@@ -68,6 +90,15 @@ CODECS = ("json", "raw", "cbin")
 STATUS_LEVELS = ("error", "warning", "info", "none")
 
 
+#: Why a session ends, as handed to a framing's ``goodbye`` (RFC 6455
+#: close codes: WebSocket is the one wire that transmits them).
+CLOSE_NORMAL = 1000
+CLOSE_PROTOCOL_ERROR = 1002
+CLOSE_POLICY = 1008
+CLOSE_TOO_BIG = 1009
+CLOSE_OVERLOADED = 1013
+
+
 class BridgeProtocolError(Exception):
     """A malformed frame or op that cannot be attributed to a request."""
 
@@ -88,6 +119,29 @@ def read_bridge_frame(sock: socket.socket) -> tuple[int, bytearray]:
     if not frame:
         raise BridgeProtocolError("empty bridge frame")
     return frame[0], frame[1:]
+
+
+class LengthPrefixed:
+    """The raw-TCP framing: ``u32 LE length | u8 tag | body``."""
+
+    name = "tcp"
+    hello_first = True
+    sequential = False
+
+    def decoder(self) -> FrameDecoder:
+        return FrameDecoder(max_frame=MAX_FRAME)
+
+    def units(self, events: list, reply) -> Iterator[tuple]:
+        for _kind, payload, _trace_id, _stamp_ns in events:
+            if not payload:
+                raise BridgeProtocolError("empty bridge frame")
+            yield payload[0], payload[1:], 4 + len(payload)
+
+    def parts(self, tag: int, body) -> list:
+        return tcpros.frame_parts([bytes([tag]) + bytes(body)])
+
+    def goodbye(self, code: int, reason: str) -> list:
+        return []
 
 
 def encode_json_op(op: dict) -> bytes:
@@ -241,6 +295,23 @@ def fragment_unit(
             "total": total,
             "data": encoded[num * chunk : (num + 1) * chunk],
         }
+
+
+def unit_parts(framing, tag: int, body, max_frame: int,
+               new_frag_id) -> tuple[list, int]:
+    """One unit as ``writev`` parts on ``framing``'s wire, split into
+    ``fragment`` ops (named by ``new_frag_id()``) when it exceeds
+    ``max_frame``, plus the bytes it takes on the wire.  Both directions
+    of every framing send through here."""
+    if 5 + len(body) <= max_frame:
+        parts = framing.parts(tag, body)
+    else:
+        parts = [
+            part
+            for fragment in fragment_unit(tag, body, max_frame, new_frag_id())
+            for part in framing.parts(TAG_JSON, encode_json_op(fragment))
+        ]
+    return parts, sum(map(len, parts))
 
 
 class Reassembler:

@@ -5,16 +5,17 @@ serialization-free middleware)::
 
     external clients                 gateway                 miniros graph
     ----------------   frames   -----------------   SHMROS/TCPROS
-    BridgeClient  <--------------> _ClientSession <---+
-    BridgeClient  <--------------> _ClientSession <---+--- _TopicTap --- Subscriber(raw)
+    BridgeClient  <--------------> Session <---+
+    BridgeClient  <--------------> Session <---+--- _TopicTap --- Subscriber(raw)
     ...                                                |
                                                        +--- _Advertisement --- Publisher
 
-- one **_ClientSession** per connection: a reactor stream link whose
-  decoded frames dispatch ops on the worker pool, and a pump draining
-  that client's shared fan-out queue into the link's write buffer (all
-  of its subscriptions feed one bounded queue, like the per-link queues
-  of :mod:`repro.ros.topic`);
+- one **Session** per connection, whatever its wire (raw TCP, WebSocket,
+  SSE -- the listener hands it a framing and a policy): a reactor stream
+  link whose decoded units dispatch ops on the worker pool, and a pump
+  draining that client's shared fan-out queue into the link's write
+  buffer (all of its subscriptions feed one bounded queue, like the
+  per-link queues of :mod:`repro.ros.topic`);
 - one **_TopicTap** per (topic, class flavour): a single *raw* internal
   subscription whose payload bytes fan out to every bridge subscription,
   so the graph-side cost is paid once regardless of client count;
@@ -39,7 +40,8 @@ import struct
 import threading
 import time
 from collections import deque
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from repro.bridge import protocol
 from repro.bridge.conversion import ConversionError, dict_to_msg, msg_to_dict
@@ -313,34 +315,97 @@ class _Advertisement:
         self.published = 0
 
 
-class _ClientSession:
-    """One connected bridge client: a reactor stream link around a
-    shared bounded fan-out queue.
+#: Op name -> rate-limit class.  Ops not listed (hello, status, stats,
+#: fragment envelopes) are control traffic and never limited.
+OP_CLASSES = {
+    "publish": "publish",
+    "subscribe": "subscribe",
+    "unsubscribe": "subscribe",
+    "advertise": "subscribe",
+    "unadvertise": "subscribe",
+    "call_service": "service",
+}
 
-    The class is also the transport seam of the gateway: the queue,
-    dispatch and close machinery are framing-agnostic, and subclasses
-    (the WebSocket and SSE sessions of :mod:`repro.bridge.ws`) override
-    the ``_handshake`` / ``_make_decoder`` / ``_handle_units`` /
-    ``_unit_parts`` hooks to speak a different wire while reusing every
-    op handler unchanged.
+RATE_CLASSES = ("publish", "subscribe", "service")
+
+#: Seconds a ``hello_first`` connection may stay silent before it is
+#: dropped.
+HELLO_TIMEOUT = 10.0
+
+
+class TokenBucket:
+    """A token bucket: ``rate`` tokens/s, ``burst`` capacity."""
+
+    __slots__ = ("rate", "burst", "_tokens", "_stamp", "_lock")
+
+    def __init__(self, rate: float, burst: float) -> None:
+        self.rate = float(rate)
+        self.burst = float(burst)
+        self._tokens = float(burst)
+        self._stamp = time.monotonic()
+        self._lock = threading.Lock()
+
+    def allow(self, cost: float = 1.0) -> bool:
+        with self._lock:
+            now = time.monotonic()
+            self._tokens = min(
+                self.burst, self._tokens + (now - self._stamp) * self.rate
+            )
+            self._stamp = now
+            if self._tokens >= cost:
+                self._tokens -= cost
+                return True
+            return False
+
+
+@dataclass(frozen=True)
+class Policy:
+    """What a listener demands of its clients; the default is open.
+
+    - ``auth_tokens``: accepted shared tokens, empty = no auth (checked
+      where the transport carries a token: the front door's HTTP head);
+    - ``rate_limits``: ``{op_class: (rate_per_s, burst)}`` token buckets
+      per session (classes: publish, subscribe, service); missing
+      classes are unlimited;
+    - ``queue_length``: default per-subscription queue bound;
+    - ``high_watermark``: session-wide queued-delivery bound, shedding
+      the oldest delivery of any subscription;
+    - ``evict_strikes``: consecutive sheds with no write progress before
+      the session is evicted.  0 disables each of the three.
     """
 
-    #: Transport label surfaced through describe()/stats_snapshot().
-    transport = "tcp"
-    #: Reassembler mode (ws sessions reject interleaved fragment streams).
-    reassembler_sequential = False
-    #: Slow-client policy knobs, all 0 = disabled (the raw-TCP bridge
-    #: keeps the PR-2 behaviour: only client-requested queue_length
-    #: bounds apply).  Front-door sessions overwrite these per policy.
-    default_queue_length = 0
-    high_watermark = 0
-    evict_strikes = 0
+    auth_tokens: frozenset = frozenset()
+    rate_limits: Mapping = field(default_factory=dict)
+    queue_length: int = 0
+    high_watermark: int = 0
+    evict_strikes: int = 0
+
+    def __post_init__(self) -> None:
+        for op_class in self.rate_limits:
+            if op_class not in RATE_CLASSES:
+                raise ValueError(
+                    f"unknown rate-limit class {op_class!r} "
+                    f"(one of {RATE_CLASSES})"
+                )
+
+
+class Session:
+    """One connected bridge client, on any wire: ops, subscriptions,
+    reassembly, a shared bounded fan-out queue and the slow-client and
+    rate-limit policy.
+
+    It never touches a byte of framing.  Whoever accepted the socket
+    hands it a *framing* (:mod:`repro.bridge.protocol`) that turns the
+    stream link's decoder events into ``tag | body`` units and units
+    into ``writev`` parts, and a :class:`Policy`.
+    """
 
     def __init__(self, server: "BridgeServer", sock: socket.socket,
-                 peer: str) -> None:
+                 peer: str, framing, policy: Policy) -> None:
         self.server = server
-        self.sock = sock
         self.peer = peer
+        self.framing = framing
+        self.policy = policy
         self.codec = "json"
         self.max_frame = protocol.MAX_FRAME
         self.subscriptions: dict[int, _Subscription] = {}
@@ -360,85 +425,83 @@ class _ClientSession:
         self._lock = threading.Lock()
         self._frag_ids = itertools.count(1)
         self._reassembler = protocol.Reassembler(
-            sequential=self.reassembler_sequential
+            sequential=framing.sequential
         )
-        self._rlink = None
-        self._serial = None
+        self._buckets = {
+            op_class: TokenBucket(rate, burst)
+            for op_class, (rate, burst) in policy.rate_limits.items()
+        }
         self._pump_scheduled = False
         #: A written-but-unflushed unit batch is in the kernel's hands;
         #: further units wait in ``_queue`` so the shed/evict policy
         #: still sees the backlog of a stalled client.
         self._inflight = False
+        self._greeted = not framing.hello_first
+        self._hello_timer = None
         self._loop = reactor_mod.global_reactor()
-        self._loop.spawn_blocking(self._start, name=f"bridge-hs:{peer}")
-
-    def _start(self) -> None:
-        """Handshake on a transient spawn, then the socket joins the
-        shared loop (no per-session threads)."""
-        try:
-            self._handshake()
-        except (ConnectionError, OSError, BridgeProtocolError):
-            self.server._drop_session(self)
-            return
         self._serial = self._loop.serial_queue(on_error=self._session_error)
         self._rlink = reactor_mod.StreamLink(
-            self.sock,
-            self._make_decoder(),
-            on_events=lambda events: self._serial.push(
-                lambda: self._handle_units(events)
-            ),
+            sock,
+            framing.decoder(),
+            on_events=self._on_events,
             on_error=self._session_error,
             reactor=self._loop,
-            label=f"bridge:{self.peer}",
+            label=f"bridge:{peer}",
         )
-        # Bytes overread past the handshake (pipelined ws frames behind
-        # the HTTP upgrade) must reach the decoder before the socket
-        # joins the loop, or a complete buffered message would wait for
-        # the *next* readable event that may never come.
-        pending = self._initial_bytes()
-        if pending:
+
+    def start(self, leftover: bytes = b"") -> None:
+        """Join the shared loop (no thread of its own, on any wire).
+        ``leftover`` is what an HTTP upgrade read past its head: it must
+        reach the decoder before the socket joins the loop, or a
+        complete buffered message would wait for a *next* readable
+        event that may never come."""
+        if not self._greeted:
+            self._hello_timer = self._loop.call_later(
+                HELLO_TIMEOUT, self._hello_expired
+            )
+        if leftover:
             try:
-                events = self._rlink.decoder.feed(pending)
+                self._on_events(self._rlink.decoder.feed(leftover))
             except Exception as exc:
                 self._session_error(exc)
                 return
-            if events:
-                self._serial.push(lambda: self._handle_units(events))
         self._rlink.start()
-        if self.closed:
-            self._rlink.close()
-            return
-        # Units enqueued during the handshake (hello_ok at least) were
-        # parked; kick the pump now that the link exists.
-        with self._lock:
-            kick = bool(self._queue) and not self._pump_scheduled
-            if kick:
-                self._pump_scheduled = True
-        if kick:
-            self._loop.call_soon(self._pump)
 
-    def _make_decoder(self):
-        """Incremental decoder for post-handshake inbound bytes
-        (transport hook; ws sessions substitute an RFC 6455 decoder)."""
-        return reactor_mod.FrameDecoder(max_frame=protocol.MAX_FRAME)
-
-    def _initial_bytes(self) -> bytes:
-        """Handshake-overread bytes to prepend to the inbound stream
-        (transport hook; the HTTP upgrade may read past the head)."""
-        return b""
-
-    def _handle_units(self, events: list) -> None:
-        """Decoder events -> op dispatch, on the worker pool (serialized
+    def _on_events(self, events: list) -> None:
+        """Decoder events -> op dispatch on the worker pool (serialized
         per session, so op order is preserved)."""
-        for _kind, payload, _trace, _stamp in events:
+        if events:
+            self._serial.push(lambda: self._handle_events(events))
+
+    def _handle_events(self, events: list) -> None:
+        for tag, body, _wire in self.framing.units(events, self._rlink.write):
             if self.closed:
                 return
-            if not payload:
-                raise BridgeProtocolError("empty bridge frame")
-            self._dispatch_unit(payload[0], payload[1:])
+            self._dispatch_unit(tag, body)
+
+    def _hello_expired(self) -> None:
+        """Loop thread: a connection that never said hello goes.  The
+        teardown may block, so it runs on the worker pool -- in line
+        behind a hello that arrived with the deadline."""
+        self._serial.push(
+            lambda: self._greeted or self.server._drop_session(self)
+        )
 
     def _session_error(self, exc: Exception) -> None:
+        """Any failure ends the session; one that names a close code
+        (a broken or closing ws peer) is answered with it first."""
+        code = getattr(exc, "code", None)
+        if code is not None:
+            self._goodbye(self.framing.goodbye(code, exc.reason))
         self.server._drop_session(self)
+
+    def _goodbye(self, parts: list) -> None:
+        """The only last word: refusal, protocol error and eviction all
+        leave through here, ahead of the close that discards the write
+        queue.  Best effort -- sent only on a frame boundary and never
+        blocking, because the peer may be the reason we are closing."""
+        if parts:
+            self._rlink.send_if_idle(b"".join(parts))
 
     # ------------------------------------------------------------------
     # Outgoing queue
@@ -452,30 +515,31 @@ class _ClientSession:
 
     def _enqueue(self, sub: Optional[_Subscription], tag: int, body: bytes) -> None:
         evict_reason = None
+        policy = self.policy
         with self._lock:
             if self.closed:
                 return
             if sub is not None:
                 shed = False
-                limit = sub.queue_length or self.default_queue_length
+                limit = sub.queue_length or policy.queue_length
                 if limit and sub.queued >= limit:
                     # Drop the oldest queued delivery of this subscription
                     # (slow external client; same policy as _OutboundLink).
-                    self._drop_oldest_of(sub)
+                    self._shed_oldest(sub)
                     shed = True
-                if self.high_watermark and \
-                        self._delivery_depth >= self.high_watermark:
+                if policy.high_watermark and \
+                        self._delivery_depth >= policy.high_watermark:
                     # The whole session is saturated across subscriptions:
                     # shed the oldest delivery of *any* subscription.
-                    self._shed_oldest()
+                    self._shed_oldest(None)
                     shed = True
-                if shed and self.evict_strikes:
+                if shed and policy.evict_strikes:
                     # A shed with no write progress since the last one is
                     # a strike; enough consecutive strikes and the client
                     # is evicted -- one stalled browser must not pin
                     # queue memory and fan-out time forever.
                     self._strikes += 1
-                    if self._strikes >= self.evict_strikes:
+                    if self._strikes >= policy.evict_strikes:
                         evict_reason = (
                             f"{self._strikes} consecutive deliveries shed "
                             f"with no write progress (stalled consumer)"
@@ -483,7 +547,7 @@ class _ClientSession:
                 sub.queued += 1
                 self._delivery_depth += 1
             self._queue.append((sub, tag, body))
-            schedule = self._rlink is not None and not self._pump_scheduled
+            schedule = not self._pump_scheduled
             if schedule:
                 self._pump_scheduled = True
         if schedule:
@@ -491,27 +555,18 @@ class _ClientSession:
         if evict_reason is not None:
             self.server.evict_session(self, evict_reason)
 
-    def _drop_oldest_of(self, sub: _Subscription) -> None:
-        """Shed the oldest queued delivery of one subscription (caller
-        holds the lock)."""
+    def _shed_oldest(self, of: Optional[_Subscription]) -> None:
+        """Shed the oldest queued delivery of one subscription, or
+        (``None``, counted in ``shed``) of any; ops are never shed.
+        Caller holds the lock."""
         for index, (queued, _t, _b) in enumerate(self._queue):
-            if queued is sub:
-                del self._queue[index]
-                sub.dropped += 1
-                sub.queued -= 1
-                self._delivery_depth -= 1
-                break
-
-    def _shed_oldest(self) -> None:
-        """Shed the oldest queued delivery of any subscription (caller
-        holds the lock)."""
-        for index, (queued, _t, _b) in enumerate(self._queue):
-            if queued is not None:
+            if queued is not None and (of is None or queued is of):
                 del self._queue[index]
                 queued.dropped += 1
                 queued.queued -= 1
                 self._delivery_depth -= 1
-                self.shed += 1
+                if of is None:
+                    self.shed += 1
                 break
 
     #: Units moved to the link buffer per pump: enough to amortize the
@@ -522,11 +577,10 @@ class _ClientSession:
     def _pump(self) -> None:
         """The writer: drain a bounded batch of units into the stream
         link (runs on the loop thread)."""
-        rlink = self._rlink
         units: list = []
         with self._lock:
             self._pump_scheduled = False
-            if self._inflight or self.closed or rlink is None:
+            if self._inflight or self.closed:
                 return
             while self._queue and len(units) < self._PUMP_MAX_UNITS:
                 sub, tag, body = self._queue.popleft()
@@ -540,17 +594,24 @@ class _ClientSession:
             return
         parts: list = []
         metered: list = []
+        framing, max_frame = self.framing, self.max_frame
+        new_frag_id = self._new_frag_id
         for sub, tag, body in units:
             try:
-                unit_parts, wire = self._unit_parts(tag, body)
+                unit_parts, wire = protocol.unit_parts(
+                    framing, tag, body, max_frame, new_frag_id
+                )
             except Exception:
                 continue
             parts.extend(unit_parts)
             metered.append((sub, wire))
-        rlink.write(
+        self._rlink.write(
             parts,
             on_flushed=lambda metered=metered: self._units_flushed(metered),
         )
+
+    def _new_frag_id(self) -> str:
+        return f"f{next(self._frag_ids)}"
 
     def _units_flushed(self, metered: list) -> None:
         for sub, wire in metered:
@@ -572,23 +633,6 @@ class _ClientSession:
         if more:
             self._loop.call_soon(self._pump)
 
-    def _unit_parts(self, tag: int, body) -> tuple[list, int]:
-        """One unit as writev parts (fragmenting oversized units), plus
-        its wire size (transport hook; ws sessions emit ws frames)."""
-        if 5 + len(body) <= self.max_frame:
-            payload = bytes([tag]) + bytes(body)
-            return tcpros.frame_parts([payload]), 4 + len(payload)
-        parts: list = []
-        wire = 0
-        frag_id = f"f{next(self._frag_ids)}"
-        for fragment in protocol.fragment_unit(
-            tag, body, self.max_frame, frag_id
-        ):
-            payload = bytes([TAG_JSON]) + protocol.encode_json_op(fragment)
-            parts.extend(tcpros.frame_parts([payload]))
-            wire += 4 + len(payload)
-        return parts, wire
-
     def describe(self) -> dict:
         """Per-client counters for stats_snapshot()/``tools top``."""
         with self._lock:
@@ -597,7 +641,7 @@ class _ClientSession:
         subs = list(self.subscriptions.values())
         return {
             "peer": self.peer,
-            "transport": self.transport,
+            "transport": self.framing.name,
             "codec": self.codec,
             "subscriptions": len(subs),
             "queue_depth": depth,
@@ -607,21 +651,21 @@ class _ClientSession:
         }
 
     # ------------------------------------------------------------------
-    # Incoming frames
+    # Incoming units
     # ------------------------------------------------------------------
     def _admit(self, kind: str) -> bool:
-        """Rate-limit hook: may an op of this kind be processed?  The
-        base session admits everything; ws sessions meter by op class."""
-        return True
+        """May an op of this kind be processed now (rate limits)?"""
+        op_class = OP_CLASSES.get(kind)
+        bucket = self._buckets.get(op_class)
+        if bucket is None or bucket.allow():
+            return True
+        self.server.count(self.framing.name, op_class)
+        return False
 
-    def _notify_eviction(self, reason: str) -> None:
-        """Best-effort goodbye before an eviction close (transport hook;
-        must never block -- the send queue is saturated by definition)."""
-
-    def _handshake(self) -> None:
-        self.sock.settimeout(10.0)
-        tag, body = protocol.read_bridge_frame(self.sock)
-        self.sock.settimeout(None)
+    def _greet(self, tag: int, body) -> None:
+        """The first unit on a ``hello_first`` wire: a valid hello op,
+        or the connection is refused (with an error status when the op
+        could at least be read)."""
         if tag != TAG_JSON:
             raise BridgeProtocolError("handshake must be a JSON hello op")
         op = protocol.decode_json_op(body)
@@ -629,23 +673,20 @@ class _ClientSession:
         if error is None and op.get("op") != "hello":
             error = f"expected hello, got {op.get('op')!r}"
         if error:
-            # Written synchronously: the session is about to die and its
-            # queue would be discarded with it.
-            try:
-                protocol.write_bridge_frame(
-                    self.sock, TAG_JSON,
-                    protocol.encode_json_op(status_op("error", error,
-                                                      op.get("id"))),
-                )
-            except OSError:
-                pass
+            self._goodbye(self.framing.parts(
+                TAG_JSON,
+                protocol.encode_json_op(status_op("error", error,
+                                                  op.get("id"))),
+            ))
             raise BridgeProtocolError(error)
+        self._greeted = True
+        self._hello_timer.cancel()
         self.apply_hello(op)
 
     def apply_hello(self, op: dict) -> None:
-        """Adopt a (validated) hello op's negotiation and ack it.  Also
-        reachable as a regular op, so transports whose handshake lives in
-        HTTP (WebSocket, SSE) can negotiate after the upgrade."""
+        """Adopt a (validated) hello op's negotiation and ack it.  The
+        first unit on raw TCP; an ordinary, optional op on the wires
+        that shook hands in HTTP (WebSocket, SSE)."""
         self.codec = op.get("codec", "json")
         if op.get("max_frame"):
             # Clamp both ways: below MIN_MAX_FRAME fragments cannot carry
@@ -665,6 +706,9 @@ class _ClientSession:
         })
 
     def _dispatch_unit(self, tag: int, body) -> None:
+        if not self._greeted:
+            self._greet(tag, body)
+            return
         if tag == TAG_RAW:
             if not self._admit("publish"):
                 return
@@ -712,19 +756,9 @@ class _ClientSession:
                 return
             self.closed = True
             self._queue.clear()
-        if self._rlink is not None:
-            self._rlink.close()
-        # shutdown() (not just close()) so a reader blocked in recv on
-        # this socket -- ours or the peer's -- wakes up with EOF instead
-        # of holding the connection open forever.
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        if self._hello_timer is not None:
+            self._hello_timer.cancel()
+        self._rlink.close()
 
 
 class BridgeServer:
@@ -745,7 +779,7 @@ class BridgeServer:
         self.service_timeout = service_timeout
         self.node = NodeHandle(node_name, master_uri)
         self._lock = threading.RLock()
-        self._sessions: list[_ClientSession] = []
+        self._sessions: list[Session] = []
         self._taps: dict[tuple[str, str], _TopicTap] = {}
         self._advertisements: dict[str, _Advertisement] = {}
         self._chan_by_id: dict[int, _Advertisement] = {}
@@ -753,19 +787,15 @@ class BridgeServer:
         self._chan_source = itertools.count(1)
         self._closed = False
         self._ws_frontend = None
-        #: Sessions removed by the slow-client policy (all transports).
-        self.evictions = 0
+        #: Policy outcomes, ``(framing name, event) -> count``: the
+        #: event is ``"evicted"`` (a slow client removed) or the
+        #: rate-limit class of a refused op.
+        self._tally: dict[tuple[str, str], int] = {}
 
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(256)
-        self.host, self.port = self._listener.getsockname()
-        self._acceptor = reactor_mod.AcceptorLink(
-            self._listener, self._on_accept,
-            label=f"bridge-accept:{self.port}",
+        self._acceptor = reactor_mod.AcceptorLink.listen(
+            host, port, self._on_accept, backlog=256, label="bridge-accept"
         )
-        self._acceptor.start()
+        self.host, self.port = self._acceptor.host, self._acceptor.port
         obs_instrument.track_bridge(self)
 
     @property
@@ -776,36 +806,62 @@ class BridgeServer:
     # Accepting clients
     # ------------------------------------------------------------------
     def _on_accept(self, sock, addr) -> None:
-        """AcceptorLink callback (loop thread, must not block): session
-        construction only spawns the handshake."""
-        sock.setblocking(True)
+        """AcceptorLink callback (loop thread, must not block): the raw
+        TCP listener is open to all -- the hello arrives through the
+        decoder like any unit, so a connection costs no thread."""
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock = tcpros.wrap_socket(sock, "bridge", role="server")
-        session = _ClientSession(self, sock, f"{addr[0]}:{addr[1]}")
-        self.register_session(session)
+        self.accept_session(sock, f"{addr[0]}:{addr[1]}",
+                            protocol.LengthPrefixed(), Policy())
 
-    def register_session(self, session: _ClientSession) -> bool:
-        """Track a live session (any transport); False once shut down."""
+    def accept_session(self, sock, peer: str, framing,
+                       policy: Policy, leftover: bytes = b""
+                       ) -> Optional[Session]:
+        """The one way in: every listener hands its connected socket,
+        the wire it speaks and its policy here.  None once shut down."""
+        session = Session(self, sock, peer, framing, policy)
         with self._lock:
             if self._closed:
                 session.close()
-                return False
+                return None
             self._sessions.append(session)
-            return True
+        session.start(leftover)
+        return session
 
-    def evict_session(self, session: _ClientSession, reason: str) -> None:
+    def count(self, framing: str, event: str) -> None:
+        with self._lock:
+            key = (framing, event)
+            self._tally[key] = self._tally.get(key, 0) + 1
+
+    def tally(self, event: str, *framings: str) -> int:
+        """How often ``event`` was counted on the named framings (none
+        named: on all of them)."""
+        with self._lock:
+            return sum(
+                count for (name, counted), count in self._tally.items()
+                if counted == event and (not framings or name in framings)
+            )
+
+    @property
+    def evictions(self) -> int:
+        """Sessions removed by the slow-client policy (all framings)."""
+        return self.tally("evicted")
+
+    def evict_session(self, session: Session, reason: str) -> None:
         """Remove a session under the slow-client policy: best-effort
-        transport goodbye, then the normal teardown path."""
+        goodbye, then the normal teardown path."""
         with self._lock:
             if session.evicted or session.closed:
                 return
             session.evicted = True
             session.evict_reason = reason
-            self.evictions += 1
-        session._notify_eviction(reason)
+            self.count(session.framing.name, "evicted")
+        session._goodbye(session.framing.goodbye(
+            protocol.CLOSE_OVERLOADED, "evicted: slow consumer"
+        ))
         self._drop_session(session)
 
-    def _drop_session(self, session: _ClientSession) -> None:
+    def _drop_session(self, session: Session) -> None:
         with self._lock:
             if session in self._sessions:
                 self._sessions.remove(session)
@@ -835,7 +891,7 @@ class BridgeServer:
     # ------------------------------------------------------------------
     # Op dispatch
     # ------------------------------------------------------------------
-    def handle_op(self, session: _ClientSession, op: dict) -> None:
+    def handle_op(self, session: Session, op: dict) -> None:
         handler = getattr(self, f"_op_{op['op']}", None)
         if handler is None:
             session.enqueue_op(status_op(
@@ -859,8 +915,8 @@ class BridgeServer:
         pass  # client-side diagnostics are informational
 
     def _op_hello(self, session, op) -> None:
-        # TCP sessions negotiate inline during _handshake; ws/SSE clients
-        # send hello as their first in-band op after the HTTP upgrade.
+        # Raw TCP greets with it (Session._greet); ws/SSE clients may
+        # send it as an ordinary op after the HTTP upgrade.
         session.apply_hello(op)
 
     def _op_advertise(self, session, op) -> None:

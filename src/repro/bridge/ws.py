@@ -18,19 +18,17 @@ op protocol (:mod:`repro.bridge.protocol`) over RFC 6455 frames:
 The handshake, frame codec and HTTP parsing are stdlib-only (hashlib,
 base64, struct) -- no external websocket dependency.
 
-Production-traffic policy, all enforced per connection:
-
-- **auth**: optional shared tokens, accepted as ``Authorization:
-  Bearer <token>`` or a ``?token=`` query parameter; failures are
-  rejected at the HTTP layer (401) and counted;
-- **rate limits**: token buckets per op class (``publish`` /
-  ``subscribe`` / ``service``); over-limit ops are refused with a
-  warning status, never by dropping the connection;
-- **backpressure**: ws/SSE sessions run with a default per-subscription
-  queue bound, a session-wide delivery watermark that sheds oldest
-  deliveries, and strike-based *eviction* (close 1013) of clients that
-  stay pinned at the watermark -- one stalled browser cannot pin queue
-  memory while healthy clients starve.
+What this module owns is the wire and the door: the one RFC 6455
+parser (:class:`WsDecoder`, both ends), the :class:`WebSocket` and
+:class:`ServerSentEvents` framings, the HTTP upgrade and the client.
+The sessions behind the door are ordinary
+:class:`~repro.bridge.server.Session` objects, run under the
+:class:`~repro.bridge.server.Policy` built from ``enable_ws``'s keyword
+arguments -- rate limits, queue bounds and strike-based eviction (ws
+says goodbye with close 1013) are the session's, on any wire.  Only
+**auth** is checked here: shared tokens, accepted as ``Authorization:
+Bearer <token>`` or a ``?token=`` query parameter; failures are rejected
+at the HTTP layer (401) and counted.
 """
 
 from __future__ import annotations
@@ -41,14 +39,25 @@ import os
 import socket
 import struct
 import threading
-import time
-from typing import Optional
+from typing import Iterator, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.bridge import protocol
 from repro.bridge.client import BridgeClient
-from repro.bridge.protocol import BridgeProtocolError, TAG_JSON
-from repro.bridge.server import _ClientSession
+from repro.bridge.protocol import (  # noqa: F401  (close codes re-exported)
+    BridgeProtocolError,
+    CLOSE_NORMAL,
+    CLOSE_OVERLOADED,
+    CLOSE_POLICY,
+    CLOSE_PROTOCOL_ERROR,
+    CLOSE_TOO_BIG,
+    TAG_JSON,
+)
+from repro.bridge.server import (  # noqa: F401  (TokenBucket re-exported)
+    Policy,
+    RATE_CLASSES,
+    TokenBucket,
+)
 from repro.ros import reactor as reactor_mod
 from repro.ros.transport import tcpros
 
@@ -65,35 +74,26 @@ OP_PONG = 0xA
 
 _CONTROL_OPS = (OP_CLOSE, OP_PING, OP_PONG)
 
-#: Close codes used by the front door.
-CLOSE_NORMAL = 1000
-CLOSE_PROTOCOL_ERROR = 1002
-CLOSE_POLICY = 1008
-CLOSE_TOO_BIG = 1009
-CLOSE_OVERLOADED = 1013
-
 #: Upper bound on one HTTP request head (request line + headers).
 MAX_REQUEST_HEAD = 16 * 1024
 
-#: Op name -> rate-limit class.  Ops not listed (hello, status, stats,
-#: fragment envelopes) are control traffic and never limited.
-OP_CLASSES = {
-    "publish": "publish",
-    "subscribe": "subscribe",
-    "unsubscribe": "subscribe",
-    "advertise": "subscribe",
-    "unadvertise": "subscribe",
-    "call_service": "service",
-}
-
-RATE_CLASSES = ("publish", "subscribe", "service")
-
-
 class WsProtocolError(BridgeProtocolError):
-    """A broken ws frame or handshake; carries the close code to send."""
+    """A broken ws frame or handshake; carries the close code (and, as
+    the reason, its own message) to say goodbye with."""
 
     def __init__(self, message: str, code: int = CLOSE_PROTOCOL_ERROR) -> None:
         super().__init__(message)
+        self.code = code
+        self.reason = message
+
+
+class WsClosed(ConnectionError):
+    """The peer sent CLOSE; its code is echoed back, without a reason."""
+
+    reason = ""
+
+    def __init__(self, code: int) -> None:
+        super().__init__(f"websocket closed by peer ({code})")
         self.code = code
 
 
@@ -141,147 +141,28 @@ def mask_payload(payload: bytes, key: bytes) -> bytes:
     ).to_bytes(length, "little")
 
 
-def _close_payload(code: int, reason: str = "") -> bytes:
-    """A CLOSE frame's body: status code + (truncated) utf-8 reason."""
-    return struct.pack(">H", code) + reason.encode("utf-8")[:123]
-
-
-class WsConnection:
-    """One blocking ws endpoint (the client side of the front door):
-    buffered frame reads + serialized writes.
-
-    ``require_mask`` is True when reading client frames (RFC 6455
-    section 5.1: unmasked client frames MUST fail the connection) and
-    clients send with ``mask_writes=True``.  Control frames are handled
-    inline -- PING answered, CLOSE echoed -- so callers only ever see
-    data messages.
-    """
-
-    def __init__(self, sock: socket.socket, leftover: bytes = b"",
-                 require_mask: bool = True, mask_writes: bool = False,
-                 max_payload: int = protocol.MAX_FRAME) -> None:
-        self.sock = sock
-        self._buffer = bytearray(leftover)
-        self._require_mask = require_mask
-        self._mask_writes = mask_writes
-        self._max_payload = max_payload
-        self._send_lock = threading.Lock()
-        self.closed_by_peer: Optional[int] = None
-
-    # -- reading -------------------------------------------------------
-    def _read_exact(self, count: int) -> bytes:
-        while len(self._buffer) < count:
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("websocket peer closed mid-frame")
-            self._buffer += chunk
-        data = bytes(self._buffer[:count])
-        del self._buffer[:count]
-        return data
-
-    def _read_frame(self) -> tuple[int, bool, bytes]:
-        first, second = self._read_exact(2)
-        if first & 0x70:
-            raise WsProtocolError("reserved ws bits set (no extensions)")
-        opcode = first & 0x0F
-        fin = bool(first & 0x80)
-        masked = bool(second & 0x80)
-        length = second & 0x7F
-        if length == 126:
-            (length,) = struct.unpack(">H", self._read_exact(2))
-        elif length == 127:
-            (length,) = struct.unpack(">Q", self._read_exact(8))
-        if opcode in _CONTROL_OPS and (length > 125 or not fin):
-            raise WsProtocolError("oversized or fragmented control frame")
-        if length > self._max_payload:
-            raise WsProtocolError(
-                f"{length}-byte ws frame exceeds the "
-                f"{self._max_payload}-byte bound", CLOSE_TOO_BIG,
-            )
-        if self._require_mask and not masked and opcode not in _CONTROL_OPS:
-            raise WsProtocolError("client data frames must be masked")
-        key = self._read_exact(4) if masked else None
-        payload = self._read_exact(length)
-        if key is not None:
-            payload = mask_payload(payload, key)
-        return opcode, fin, payload
-
-    def recv_message(self) -> tuple[int, bytearray, int]:
-        """Read one complete data message: ``(opcode, payload, wire)``.
-
-        Reassembles continuation frames, answers PINGs, echoes CLOSE
-        (then raises ConnectionError).  ``wire`` approximates bytes on
-        the wire (headers + payloads of the contributing frames).
-        """
-        message: Optional[bytearray] = None
-        opcode = OP_CONT
-        wire = 0
-        while True:
-            frame_op, fin, payload = self._read_frame()
-            wire += 2 + len(payload) + (4 if self._require_mask else 0)
-            if frame_op == OP_PING:
-                self.send_frame(OP_PONG, payload)
-                continue
-            if frame_op == OP_PONG:
-                continue
-            if frame_op == OP_CLOSE:
-                self.closed_by_peer = (
-                    struct.unpack(">H", payload[:2])[0]
-                    if len(payload) >= 2 else CLOSE_NORMAL
-                )
-                try:
-                    self.send_frame(OP_CLOSE, payload[:2])
-                except OSError:
-                    pass
-                raise ConnectionError(
-                    f"websocket closed by peer ({self.closed_by_peer})"
-                )
-            if frame_op == OP_CONT:
-                if message is None:
-                    raise WsProtocolError("continuation without a start frame")
-                message += payload
-            else:
-                if message is not None:
-                    raise WsProtocolError(
-                        "new data frame interleaved into a fragmented message"
-                    )
-                opcode = frame_op
-                message = bytearray(payload)
-            if len(message) > self._max_payload:
-                raise WsProtocolError(
-                    "fragmented ws message exceeds the payload bound",
-                    CLOSE_TOO_BIG,
-                )
-            if fin:
-                return opcode, message, wire
-
-    # -- writing -------------------------------------------------------
-    def send_frame(self, opcode: int, payload: bytes) -> int:
-        frame = encode_frame(opcode, bytes(payload), mask=self._mask_writes)
-        with self._send_lock:
-            self.sock.sendall(frame)
-        return len(frame)
-
-
 class WsDecoder:
-    """Incremental RFC 6455 parser (the server side of the front door).
+    """Incremental RFC 6455 parser, for both ends of the front door.
 
-    The :class:`~repro.ros.reactor.StreamLink` feeds received chunks;
-    ``feed`` returns the completed events:
+    A :class:`~repro.ros.reactor.StreamLink` (server) or the client's
+    reader thread feeds received chunks; ``feed`` returns the completed
+    events:
 
-    - ``("message", opcode, payload_bytearray)`` -- one reassembled data
-      message (continuation frames merged, masks removed);
+    - ``("message", opcode, payload_bytearray, wire)`` -- one
+      reassembled data message (continuation frames merged, masks
+      removed) and the bytes its frames took on the wire;
     - ``("ping", payload_bytes)`` -- the caller must answer with a PONG;
-    - ``("close", code, echo_payload)`` -- the caller echoes a CLOSE and
-      tears the session down; no further events are produced.
+    - ``("close", code)`` -- the caller echoes a CLOSE and tears the
+      connection down; no further events are produced.
 
-    PONGs are swallowed.  Protocol violations raise
-    :class:`WsProtocolError` (carrying the close code to send), which
-    the stream link routes to its error handler.
+    PONGs are swallowed.  ``require_mask`` is set when reading client
+    frames (RFC 6455 section 5.1: unmasked client data frames MUST fail
+    the connection).  Protocol violations raise :class:`WsProtocolError`
+    (carrying the close code to send).
     """
 
     __slots__ = ("_buffer", "_require_mask", "_max_payload", "_message",
-                 "_opcode", "_dead")
+                 "_opcode", "_wire", "_dead")
 
     def __init__(self, require_mask: bool = True,
                  max_payload: int = protocol.MAX_FRAME) -> None:
@@ -290,9 +171,10 @@ class WsDecoder:
         self._max_payload = max_payload
         self._message: Optional[bytearray] = None
         self._opcode = OP_CONT
+        self._wire = 0
         self._dead = False
 
-    def _parse_frame(self) -> Optional[tuple[int, bool, bytes]]:
+    def _parse_frame(self) -> Optional[tuple[int, bool, bytes, int]]:
         """One frame off the buffer, or None until enough bytes arrive."""
         buf = self._buffer
         if len(buf) < 2:
@@ -336,7 +218,7 @@ class WsDecoder:
         del buf[:pos + length]
         if key is not None:
             payload = mask_payload(payload, key)
-        return opcode, fin, payload
+        return opcode, fin, payload, pos + length
 
     def feed(self, data) -> list:
         if self._dead:
@@ -347,7 +229,7 @@ class WsDecoder:
             frame = self._parse_frame()
             if frame is None:
                 return events
-            opcode, fin, payload = frame
+            opcode, fin, payload, wire = frame
             if opcode == OP_PING:
                 events.append(("ping", payload))
                 continue
@@ -359,12 +241,13 @@ class WsDecoder:
                     if len(payload) >= 2 else CLOSE_NORMAL
                 )
                 self._dead = True
-                events.append(("close", code, payload[:2]))
+                events.append(("close", code))
                 return events
             if opcode == OP_CONT:
                 if self._message is None:
                     raise WsProtocolError("continuation without a start frame")
                 self._message += payload
+                self._wire += wire
             else:
                 if self._message is not None:
                     raise WsProtocolError(
@@ -372,39 +255,17 @@ class WsDecoder:
                     )
                 self._opcode = opcode
                 self._message = bytearray(payload)
+                self._wire = wire
             if len(self._message) > self._max_payload:
                 raise WsProtocolError(
                     "fragmented ws message exceeds the payload bound",
                     CLOSE_TOO_BIG,
                 )
             if fin:
-                events.append(("message", self._opcode, self._message))
+                events.append(
+                    ("message", self._opcode, self._message, self._wire)
+                )
                 self._message = None
-
-
-class TokenBucket:
-    """A token bucket: ``rate`` tokens/s, ``burst`` capacity."""
-
-    __slots__ = ("rate", "burst", "_tokens", "_stamp", "_lock")
-
-    def __init__(self, rate: float, burst: float) -> None:
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._tokens = float(burst)
-        self._stamp = time.monotonic()
-        self._lock = threading.Lock()
-
-    def allow(self, cost: float = 1.0) -> bool:
-        with self._lock:
-            now = time.monotonic()
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._stamp) * self.rate
-            )
-            self._stamp = now
-            if self._tokens >= cost:
-                self._tokens -= cost
-                return True
-            return False
 
 
 # ----------------------------------------------------------------------
@@ -458,154 +319,77 @@ def _http_response(sock: socket.socket, status: str,
 
 
 # ----------------------------------------------------------------------
-# Sessions
+# Framings (the contract is in repro.bridge.protocol)
 # ----------------------------------------------------------------------
-class _WsSession(_ClientSession):
-    """A bridge session whose wire is RFC 6455 frames."""
+class WebSocket:
+    """RFC 6455 frames: JSON ops ride text frames, RAW/CBIN units ride
+    binary frames (``u8 tag | body``).  ``mask`` is the client end:
+    it masks what it sends and reads unmasked frames."""
 
-    transport = "ws"
+    name = "ws"
+    hello_first = False
     # ws framing is message-ordered per connection: interleaved bridge
     # fragment streams can only come from a hostile or broken peer.
-    reassembler_sequential = True
+    sequential = True
 
-    def __init__(self, server, sock, peer, frontend,
-                 leftover: bytes = b"") -> None:
-        self.frontend = frontend
-        self._leftover = leftover
-        self._buckets = frontend.make_buckets()
-        # Policy knobs become *instance* attributes before the base
-        # constructor spawns the session start.
-        self.default_queue_length = frontend.queue_length
-        self.high_watermark = frontend.high_watermark
-        self.evict_strikes = frontend.evict_strikes
-        super().__init__(server, sock, peer)
+    def __init__(self, mask: bool) -> None:
+        self.mask = mask
 
-    def _handshake(self) -> None:
-        # The HTTP upgrade already happened on the frontend's accept
-        # path; codec/max_frame arrive in-band via the hello op.
-        pass
+    def decoder(self) -> WsDecoder:
+        return WsDecoder(require_mask=not self.mask)
 
-    def _make_decoder(self):
-        return WsDecoder(require_mask=True, max_payload=protocol.MAX_FRAME)
-
-    def _initial_bytes(self) -> bytes:
-        data, self._leftover = self._leftover, b""
-        return data
-
-    def _handle_units(self, events: list) -> None:
+    def units(self, events: list, reply) -> Iterator[tuple]:
         for event in events:
-            if self.closed:
-                return
-            kind = event[0]
-            if kind == "message":
-                _kind, opcode, payload = event
-                if opcode == OP_TEXT:
-                    self._dispatch_unit(TAG_JSON, payload)
-                elif opcode == OP_BINARY:
-                    if not payload:
-                        raise BridgeProtocolError("empty binary ws message")
-                    self._dispatch_unit(payload[0], payload[1:])
-                else:
-                    raise WsProtocolError(
-                        f"unsupported ws opcode {opcode:#x}"
-                    )
-            elif kind == "ping":
-                self._rlink.write([encode_frame(OP_PONG, event[1])])
-            elif kind == "close":
-                self._rlink.write([encode_frame(OP_CLOSE, bytes(event[2]))])
-                raise ConnectionError(
-                    f"websocket closed by peer ({event[1]})"
-                )
+            if event[0] == "ping":
+                reply([encode_frame(OP_PONG, event[1], mask=self.mask)])
+                continue
+            if event[0] == "close":
+                raise WsClosed(event[1])
+            _kind, opcode, payload, wire = event
+            if opcode == OP_TEXT:
+                yield TAG_JSON, payload, wire
+            elif opcode != OP_BINARY:
+                raise WsProtocolError(f"unsupported ws opcode {opcode:#x}")
+            elif not payload:
+                raise BridgeProtocolError("empty binary ws message")
+            else:
+                yield payload[0], payload[1:], wire
 
-    def _session_error(self, exc: Exception) -> None:
-        if isinstance(exc, WsProtocolError):
-            # Tell the peer *why* before tearing down (best-effort: the
-            # socket is non-blocking under the reactor, so this cannot
-            # wedge the worker).
-            try:
-                self.sock.send(encode_frame(
-                    OP_CLOSE, _close_payload(exc.code, str(exc)[:100])
-                ))
-            except (OSError, ValueError):
-                pass
-        self.server._drop_session(self)
-
-    def _unit_parts(self, tag: int, body) -> tuple[list, int]:
-        if 5 + len(body) > self.max_frame:
-            parts: list = []
-            wire = 0
-            frag_id = f"f{next(self._frag_ids)}"
-            for fragment in protocol.fragment_unit(
-                tag, body, self.max_frame, frag_id
-            ):
-                frame = encode_frame(
-                    OP_TEXT, protocol.encode_json_op(fragment)
-                )
-                parts.append(frame)
-                wire += len(frame)
-            return parts, wire
+    def parts(self, tag: int, body) -> list:
         if tag == TAG_JSON:
-            frame = encode_frame(OP_TEXT, bytes(body))
-        else:
-            frame = encode_frame(OP_BINARY, bytes([tag]) + bytes(body))
-        return [frame], len(frame)
+            return [encode_frame(OP_TEXT, bytes(body), mask=self.mask)]
+        return [encode_frame(OP_BINARY, bytes([tag]) + bytes(body),
+                             mask=self.mask)]
 
-    def _admit(self, kind: str) -> bool:
-        op_class = OP_CLASSES.get(kind)
-        if op_class is None:
-            return True
-        bucket = self._buckets.get(op_class)
-        if bucket is None or bucket.allow():
-            return True
-        self.frontend.count_rate_limited(op_class)
-        return False
-
-    def _notify_eviction(self, reason: str) -> None:
-        self.frontend.evictions += 1
-        if self._rlink is not None:
-            # Queue the goodbye *behind* any partially-written frame so
-            # the stream stays well-formed; the write buffer is memory,
-            # never a blocking send, which is all eviction requires.
-            self._rlink.write([encode_frame(OP_CLOSE, _close_payload(
-                CLOSE_OVERLOADED, "evicted: slow consumer"
-            ))])
+    def goodbye(self, code: int, reason: str) -> list:
+        # A CLOSE body: status code + utf-8 reason, 125 bytes at most.
+        body = struct.pack(">H", code) + reason.encode("utf-8")[:123]
+        return [encode_frame(OP_CLOSE, body, mask=self.mask)]
 
 
-class _SseSession(_ClientSession):
-    """Subscribe-only fallback: deliveries stream as server-sent events.
+class ServerSentEvents:
+    """The subscribe-only fallback: JSON units stream out as ``data:``
+    events and nothing is read -- whatever such a client sends after its
+    GET is ignored, the stream link only watches for EOF so a vanished
+    browser tears the session down."""
 
-    The client never sends after the GET; the stream link just watches
-    for EOF so a vanished browser tears the session down."""
+    name = "sse"
+    hello_first = False
+    sequential = True
 
-    transport = "sse"
-    reassembler_sequential = True
-
-    def __init__(self, server, sock, peer, frontend) -> None:
-        self.frontend = frontend
-        self.default_queue_length = frontend.queue_length
-        self.high_watermark = frontend.high_watermark
-        self.evict_strikes = frontend.evict_strikes
-        super().__init__(server, sock, peer)
-
-    def _handshake(self) -> None:
-        pass
-
-    def _make_decoder(self):
-        # Inbound bytes are ignored wholesale; only EOF matters (the
-        # stream link reports it as a ConnectionError -> session drop).
+    def decoder(self) -> reactor_mod.RawDecoder:
         return reactor_mod.RawDecoder()
 
-    def _handle_units(self, events: list) -> None:
-        pass  # anything a "subscribe-only" client sends is ignored
+    def units(self, events: list, reply) -> tuple:
+        return ()
 
-    def _unit_parts(self, tag: int, body) -> tuple[list, int]:
+    def parts(self, tag: int, body) -> list:
         if tag != TAG_JSON:
-            return [], 0  # SSE subscriptions are forced to the json codec
-        chunk = b"data: " + bytes(body) + b"\r\n\r\n"
-        return [chunk], len(chunk)
+            return []  # SSE subscriptions are forced to the json codec
+        return [b"data: " + bytes(body) + b"\r\n\r\n"]
 
-    def _notify_eviction(self, reason: str) -> None:
-        self.frontend.evictions += 1
+    def goodbye(self, code: int, reason: str) -> list:
+        return []
 
 
 # ----------------------------------------------------------------------
@@ -614,14 +398,10 @@ class _SseSession(_ClientSession):
 class WsFrontend:
     """The ws/SSE listener bolted onto one :class:`BridgeServer`.
 
-    Constructed via :meth:`BridgeServer.enable_ws`.  Policy:
-
-    - ``auth_tokens``: iterable of accepted tokens; empty/None = open;
-    - ``rate_limits``: ``{op_class: (rate_per_s, burst)}`` token-bucket
-      configuration (classes: publish, subscribe, service); missing
-      classes are unlimited;
-    - ``queue_length`` / ``high_watermark`` / ``evict_strikes``: the
-      slow-client policy applied to every ws/SSE session.
+    Constructed via :meth:`BridgeServer.enable_ws`; the keyword
+    arguments are the :class:`~repro.bridge.server.Policy` every ws/SSE
+    session runs under (``auth_tokens`` is checked here, against the
+    HTTP head, before there is a session).
     """
 
     def __init__(self, server, host: str = "127.0.0.1", port: int = 0,
@@ -629,74 +409,56 @@ class WsFrontend:
                  queue_length: int = 64, high_watermark: int = 1024,
                  evict_strikes: int = 256) -> None:
         self.server = server
-        self.auth_tokens = frozenset(auth_tokens or ())
-        self.rate_limits = dict(rate_limits or {})
-        for op_class in self.rate_limits:
-            if op_class not in RATE_CLASSES:
-                raise ValueError(
-                    f"unknown rate-limit class {op_class!r} "
-                    f"(one of {RATE_CLASSES})"
-                )
-        self.queue_length = queue_length
-        self.high_watermark = high_watermark
-        self.evict_strikes = evict_strikes
-
+        self.policy = Policy(
+            frozenset(auth_tokens or ()), dict(rate_limits or {}),
+            queue_length, high_watermark, evict_strikes,
+        )
         self.handshakes = 0
         self.auth_failures = 0
         self.bad_requests = 0
-        self.evictions = 0
-        self.rate_limited = {op_class: 0 for op_class in RATE_CLASSES}
         self._lock = threading.Lock()
-
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(512)
-        self.host, self.port = self._listener.getsockname()
-        self._acceptor = reactor_mod.AcceptorLink(
-            self._listener, self._on_accept,
-            label=f"bridge-ws-accept:{self.port}",
+        self._acceptor = reactor_mod.AcceptorLink.listen(
+            host, port, self._on_accept, backlog=512,
+            label="bridge-ws-accept",
         )
-        self._acceptor.start()
+        self.host, self.port = self._acceptor.host, self._acceptor.port
 
     @property
     def url(self) -> str:
         return f"ws://{self.host}:{self.port}/ws"
 
-    def make_buckets(self) -> dict:
-        return {
-            op_class: TokenBucket(rate, burst)
-            for op_class, (rate, burst) in self.rate_limits.items()
-        }
-
-    def count_rate_limited(self, op_class: str) -> None:
-        with self._lock:
-            self.rate_limited[op_class] = \
-                self.rate_limited.get(op_class, 0) + 1
-
     def stats(self) -> dict:
+        policy = self.policy
+        framings = (WebSocket.name, ServerSentEvents.name)
         with self._lock:
-            return {
+            stats = {
                 "host": self.host,
                 "port": self.port,
                 "handshakes": self.handshakes,
                 "auth_failures": self.auth_failures,
                 "bad_requests": self.bad_requests,
-                "evictions": self.evictions,
-                "rate_limited": dict(self.rate_limited),
-                "policy": {
-                    "queue_length": self.queue_length,
-                    "high_watermark": self.high_watermark,
-                    "evict_strikes": self.evict_strikes,
-                    "auth": bool(self.auth_tokens),
-                },
             }
+        # What the policy did to this door's sessions is counted once,
+        # on the server, per framing.
+        stats["evictions"] = self.server.tally("evicted", *framings)
+        stats["rate_limited"] = {
+            op_class: self.server.tally(op_class, *framings)
+            for op_class in RATE_CLASSES
+        }
+        stats["policy"] = {
+            "queue_length": policy.queue_length,
+            "high_watermark": policy.high_watermark,
+            "evict_strikes": policy.evict_strikes,
+            "auth": bool(policy.auth_tokens),
+        }
+        return stats
 
     # ------------------------------------------------------------------
     def _on_accept(self, sock, addr) -> None:
         """AcceptorLink callback (loop thread, must not block): the HTTP
-        request read + upgrade runs on a transient spawn, exactly like
-        the TCP bridge handshake."""
+        request read + upgrade runs on a transient spawn -- the one
+        thread a pending front-door connection costs, gone once the
+        session exists."""
         sock.setblocking(True)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # Same chaos seam as the TCP listener: FaultPlan rules on
@@ -763,16 +525,14 @@ class WsFrontend:
                 pass
 
     def _authorized(self, headers: dict, query: dict) -> bool:
-        if not self.auth_tokens:
+        accepted = self.policy.auth_tokens
+        if not accepted:
             return True
         auth = headers.get("authorization", "")
         if auth.lower().startswith("bearer ") and \
-                auth[7:].strip() in self.auth_tokens:
+                auth[7:].strip() in accepted:
             return True
-        for token in query.get("token", ()):
-            if token in self.auth_tokens:
-                return True
-        return False
+        return any(token in accepted for token in query.get("token", ()))
 
     def _accept_ws(self, sock, peer: str, headers: dict,
                    leftover: bytes) -> None:
@@ -798,9 +558,9 @@ class WsFrontend:
         sock.settimeout(None)
         with self._lock:
             self.handshakes += 1
-        session = _WsSession(self.server, sock, f"ws:{peer}", self,
-                             leftover=leftover)
-        self.server.register_session(session)
+        self.server.accept_session(
+            sock, f"ws:{peer}", WebSocket(mask=False), self.policy, leftover
+        )
 
     def _accept_sse(self, sock, peer: str, method: str, query: dict) -> None:
         if method != "GET":
@@ -824,8 +584,10 @@ class WsFrontend:
         sock.settimeout(None)
         with self._lock:
             self.handshakes += 1
-        session = _SseSession(self.server, sock, f"sse:{peer}", self)
-        if not self.server.register_session(session):
+        session = self.server.accept_session(
+            sock, f"sse:{peer}", ServerSentEvents(), self.policy
+        )
+        if session is None:
             return
         fields = [f for f in query.get("fields", [""])[0].split(",") if f]
         for topic, spelling in zip(topics, types):
@@ -848,18 +610,17 @@ class WsFrontend:
 class WsBridgeClient(BridgeClient):
     """A :class:`BridgeClient` that dials the WebSocket front door.
 
-    Same API, same op protocol -- only the wire differs: JSON ops ride
-    text frames, RAW/CBIN units ride binary frames (``u8 tag | body``).
+    Same API, same op protocol -- only the wire differs: it performs the
+    HTTP upgrade and then speaks the masking end of :class:`WebSocket`.
     """
 
     def __init__(self, host: str, port: int, token: Optional[str] = None,
                  path: str = "/ws", **kwargs) -> None:
         self._token = token
         self._path = path
-        self._conn: Optional[WsConnection] = None
         super().__init__(host, port, **kwargs)
 
-    def _connect(self, host: str, port: int, timeout: float) -> socket.socket:
+    def _connect(self, host: str, port: int, timeout: float) -> tuple:
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         key = base64.b64encode(os.urandom(16)).decode("ascii")
@@ -895,35 +656,7 @@ class WsBridgeClient(BridgeClient):
         )
         if headers.get("sec-websocket-accept") != accept_key(key):
             raise BridgeProtocolError("bad Sec-WebSocket-Accept in handshake")
-        self._conn = WsConnection(
-            sock, leftover, require_mask=False, mask_writes=True
-        )
-        return sock
-
-    def _send_unit(self, tag: int, body: bytes) -> None:
-        if 5 + len(body) > self.max_frame:
-            frag_id = self._next_id()
-            for fragment in protocol.fragment_unit(
-                tag, body, self.max_frame, frag_id
-            ):
-                self._conn.send_frame(
-                    OP_TEXT, protocol.encode_json_op(fragment)
-                )
-            return
-        if tag == TAG_JSON:
-            self._conn.send_frame(OP_TEXT, bytes(body))
-        else:
-            self._conn.send_frame(OP_BINARY, bytes([tag]) + bytes(body))
-
-    def _read_unit(self):
-        opcode, payload, wire = self._conn.recv_message()
-        if opcode == OP_TEXT:
-            return TAG_JSON, payload, wire
-        if opcode == OP_BINARY:
-            if not payload:
-                raise BridgeProtocolError("empty binary ws message")
-            return payload[0], payload[1:], wire
-        raise BridgeProtocolError(f"unsupported ws opcode {opcode:#x}")
+        return sock, WebSocket(mask=True), leftover
 
 
 def sse_url(host: str, port: int, topic: str, spelling: str,

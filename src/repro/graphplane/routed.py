@@ -278,16 +278,11 @@ class RouteD:
             routed=name)
         self._frames = obs_instrument.routed_frames.labels(routed=name)
         self._bytes = obs_instrument.routed_bytes.labels(routed=name)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        self.listen_addr = self._listener.getsockname()
-        self._acceptor = reactor_mod.AcceptorLink(
-            self._listener, self._on_accept,
+        self._acceptor = reactor_mod.AcceptorLink.listen(
+            host, port, self._on_accept, backlog=16,
             label=f"routed-accept:{name}",
         )
-        self._acceptor.start()
+        self.listen_addr = (self._acceptor.host, self._acceptor.port)
         self._installed = False
         self._admin = None
         if admin:

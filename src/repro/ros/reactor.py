@@ -715,6 +715,23 @@ class StreamLink(Link):
             self._want_write = True
             self.reactor.want_write(self, True)
 
+    def send_if_idle(self, data: bytes) -> bool:
+        """One non-blocking ``send`` of ``data``, issued only while
+        nothing queued by :meth:`write` is unflushed -- so the bytes land
+        on a boundary between writes, never inside a partially flushed
+        one -- and skipped otherwise.  For a last word ahead of
+        :meth:`close`, which discards whatever is still queued.  Returns
+        whether the kernel took it.  Thread-safe."""
+        with self._wlock:
+            if self._closed or self._wqueued != self._wflushed:
+                return False
+            try:
+                sent = self.sock.send(data)
+            except (OSError, ValueError):
+                return False
+            self.tx_bytes += sent
+            return sent == len(data)
+
     def _pending_write(self) -> bool:
         with self._wlock:
             return bool(self._wparts or self._wcallbacks)
@@ -790,6 +807,26 @@ class AcceptorLink(Link):
             listener.setblocking(False)
         except OSError:
             pass
+
+    @classmethod
+    def listen(cls, host: str, port: int, on_accept, *, backlog: int,
+               label: str) -> "AcceptorLink":
+        """Bind, listen and start accepting on the global reactor -- the
+        one listener constructor.  The bound address is ``.host`` /
+        ``.port`` (``port=0`` picks a free one) and ends the label."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((host, port))
+            listener.listen(backlog)
+        except OSError:
+            listener.close()
+            raise
+        bound = listener.getsockname()
+        link = cls(listener, on_accept, label=f"{label}:{bound[1]}")
+        link.host, link.port = bound
+        link.start()
+        return link
 
     def start(self) -> None:
         self.reactor.register(self)

@@ -23,7 +23,7 @@ import threading
 from typing import Callable, Optional
 
 from repro.ros.exceptions import ConnectionHandshakeError
-from repro.ros.reactor import AcceptorLink
+from repro.ros.reactor import _MAX_IOV, AcceptorLink
 
 _LEN = struct.Struct("<I")
 
@@ -171,9 +171,14 @@ BATCH_MAX_BYTES = 64 * 1024
 
 def send_parts(sock: socket.socket, parts: list) -> None:
     """One vectored send of ``parts`` (bytes-like), finishing any partial
-    write.  Falls back to a joined ``sendall`` without ``sendmsg``."""
+    write; more parts than one ``sendmsg`` takes go out in several.
+    Falls back to a joined ``sendall`` without ``sendmsg``."""
     if len(parts) == 1:
         sock.sendall(parts[0])
+        return
+    if len(parts) > _MAX_IOV:
+        for start in range(0, len(parts), _MAX_IOV):
+            send_parts(sock, parts[start:start + _MAX_IOV])
         return
     if not hasattr(sock, "sendmsg"):  # pragma: no cover - non-POSIX
         sock.sendall(b"".join(bytes(part) for part in parts))
@@ -334,18 +339,11 @@ class TcpRosServer:
         port: int = 0,
     ) -> None:
         self._dispatcher = dispatcher
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(256)
-        self.host, self.port = self._listener.getsockname()
         self._closed = threading.Event()
-        self._acceptor = AcceptorLink(
-            self._listener,
-            self._on_accept,
-            label=f"tcpros:{self.port}",
+        self._acceptor = AcceptorLink.listen(
+            host, port, self._on_accept, backlog=256, label="tcpros"
         )
-        self._acceptor.start()
+        self.host, self.port = self._acceptor.host, self._acceptor.port
 
     def _on_accept(self, sock: socket.socket, _addr) -> None:
         # The accept happened on the loop thread; the handshake may block

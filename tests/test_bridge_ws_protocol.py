@@ -10,8 +10,10 @@ import threading
 import pytest
 
 from repro.bridge import ws
+from repro.bridge.protocol import TAG_JSON
 from repro.bridge.ws import (
     CLOSE_NORMAL,
+    CLOSE_PROTOCOL_ERROR,
     CLOSE_TOO_BIG,
     MAX_REQUEST_HEAD,
     OP_BINARY,
@@ -20,7 +22,9 @@ from repro.bridge.ws import (
     OP_PING,
     OP_TEXT,
     TokenBucket,
-    WsConnection,
+    WebSocket,
+    WsClosed,
+    WsDecoder,
     WsProtocolError,
     accept_key,
     encode_frame,
@@ -58,29 +62,42 @@ def test_mask_payload_empty():
 
 
 # ----------------------------------------------------------------------
-# Frame codec over a socketpair
+# Frame codec: the one RFC 6455 parser, WsDecoder, fed whole and one
+# byte at a time -- the outcome must not depend on the split
 # ----------------------------------------------------------------------
-def _pair(**server_kwargs):
-    client_sock, server_sock = socket.socketpair()
-    server = WsConnection(server_sock, **server_kwargs)
-    return client_sock, server_sock, server
+FEEDS = {
+    "whole": lambda wire: [wire],
+    "bytewise": lambda wire: [wire[i:i + 1] for i in range(len(wire))],
+}
 
 
-def test_frame_roundtrip_masked_text():
-    client_sock, server_sock, server = _pair()
-    try:
-        client_sock.sendall(encode_frame(OP_TEXT, b'{"op":"x"}', mask=True))
-        opcode, payload, wire = server.recv_message()
-        assert opcode == OP_TEXT
-        assert bytes(payload) == b'{"op":"x"}'
-        assert wire >= len(payload)
-    finally:
-        client_sock.close()
-        server_sock.close()
+@pytest.fixture(params=sorted(FEEDS))
+def decode(request):
+    """``decode(wire, **decoder_kwargs) -> events`` through a fresh
+    decoder, in the parametrized feed; a protocol error propagates."""
+    def run(wire: bytes, **kwargs) -> list:
+        decoder = WsDecoder(**kwargs)
+        events: list = []
+        for chunk in FEEDS[request.param](wire):
+            events += decoder.feed(chunk)
+        return events
+
+    return run
+
+
+def _message(opcode: int, payload: bytes, wire: int) -> tuple:
+    return ("message", opcode, bytearray(payload), wire)
+
+
+def test_decoder_masked_text(decode):
+    frame = encode_frame(OP_TEXT, b'{"op":"x"}', mask=True)
+    # wire is what the frame took on the wire: header + mask key + payload
+    assert len(frame) == 2 + 4 + 10
+    assert decode(frame) == [_message(OP_TEXT, b'{"op":"x"}', len(frame))]
 
 
 @pytest.mark.parametrize("size", [0, 1, 125, 126, 127, 65535, 65536, 80000])
-def test_frame_length_encodings(size):
+def test_decoder_length_encodings(decode, size):
     """7-bit, 16-bit and 64-bit payload length forms all round-trip."""
     payload = bytes(size % 251 for _ in range(size)) if size else b""
     frame = encode_frame(OP_BINARY, payload, mask=True)
@@ -94,18 +111,10 @@ def test_frame_length_encodings(size):
     else:
         assert second == 127
         assert struct.unpack(">Q", frame[2:10])[0] == size
-    client_sock, server_sock, server = _pair()
-    try:
-        client_sock.sendall(frame)
-        opcode, received, _wire = server.recv_message()
-        assert opcode == OP_BINARY
-        assert bytes(received) == payload
-    finally:
-        client_sock.close()
-        server_sock.close()
+    assert decode(frame) == [_message(OP_BINARY, payload, len(frame))]
 
 
-def test_64bit_length_form_parses():
+def test_decoder_64bit_length_form_parses(decode):
     """A frame that *uses* the 64-bit form for a small payload still
     parses (encoders may not minimal-encode)."""
     payload = b"not actually huge"
@@ -116,115 +125,89 @@ def test_64bit_length_form_parses():
         + key
         + mask_payload(payload, key)
     )
-    client_sock, server_sock, server = _pair()
-    try:
-        client_sock.sendall(frame)
-        opcode, received, _wire = server.recv_message()
-        assert (opcode, bytes(received)) == (OP_BINARY, payload)
-    finally:
-        client_sock.close()
-        server_sock.close()
+    assert decode(frame) == [_message(OP_BINARY, payload, len(frame))]
 
 
-def test_unmasked_client_frame_rejected():
-    client_sock, server_sock, server = _pair(require_mask=True)
-    try:
-        client_sock.sendall(encode_frame(OP_TEXT, b"nope", mask=False))
-        with pytest.raises(WsProtocolError, match="masked"):
-            server.recv_message()
-    finally:
-        client_sock.close()
-        server_sock.close()
+def test_decoder_rejects_unmasked_client_frame(decode):
+    with pytest.raises(WsProtocolError, match="masked") as info:
+        decode(encode_frame(OP_TEXT, b"nope", mask=False), require_mask=True)
+    assert info.value.code == CLOSE_PROTOCOL_ERROR
+    # ...which is exactly what the client end reads
+    frame = encode_frame(OP_TEXT, b"fine", mask=False)
+    assert decode(frame, require_mask=False) == \
+        [_message(OP_TEXT, b"fine", len(frame))]
 
 
-def test_fragmented_message_reassembles():
-    client_sock, server_sock, server = _pair()
-    try:
-        client_sock.sendall(
-            encode_frame(OP_TEXT, b"one ", fin=False, mask=True)
-            + encode_frame(OP_CONT, b"two ", fin=False, mask=True)
-            + encode_frame(OP_CONT, b"three", fin=True, mask=True)
-        )
-        opcode, payload, _wire = server.recv_message()
-        assert (opcode, bytes(payload)) == (OP_TEXT, b"one two three")
-    finally:
-        client_sock.close()
-        server_sock.close()
+def test_decoder_reassembles_fragmented_message(decode):
+    wire = (
+        encode_frame(OP_TEXT, b"one ", fin=False, mask=True)
+        + encode_frame(OP_CONT, b"two ", fin=False, mask=True)
+        + encode_frame(OP_CONT, b"three", fin=True, mask=True)
+    )
+    assert decode(wire) == [_message(OP_TEXT, b"one two three", len(wire))]
 
 
-def test_control_frame_interleaves_with_fragments():
-    """PING arriving mid-fragmentation is answered without disturbing
-    the reassembly."""
-    client_sock, server_sock, server = _pair()
-    try:
-        client_sock.sendall(
-            encode_frame(OP_TEXT, b"half", fin=False, mask=True)
-            + encode_frame(OP_PING, b"hb", mask=True)
-            + encode_frame(OP_CONT, b"+half", fin=True, mask=True)
-        )
-        opcode, payload, _wire = server.recv_message()
-        assert (opcode, bytes(payload)) == (OP_TEXT, b"half+half")
-        # The PONG went out while we reassembled.
-        client = WsConnection(client_sock, require_mask=False)
-        frame_op, fin, pong = client._read_frame()
-        assert (frame_op, fin, pong) == (ws.OP_PONG, True, b"hb")
-    finally:
-        client_sock.close()
-        server_sock.close()
+def test_decoder_control_frame_interleaves_with_fragments(decode):
+    """PING arriving mid-fragmentation surfaces (to be answered) without
+    disturbing the reassembly, and is not billed to the message."""
+    ping = encode_frame(OP_PING, b"hb", mask=True)
+    wire = (
+        encode_frame(OP_TEXT, b"half", fin=False, mask=True)
+        + ping
+        + encode_frame(OP_CONT, b"+half", fin=True, mask=True)
+    )
+    events = decode(wire)
+    assert events == [
+        ("ping", b"hb"),
+        _message(OP_TEXT, b"half+half", len(wire) - len(ping)),
+    ]
+    # The framing answers the PING with a PONG and yields the unit.
+    replies: list = []
+    units = list(WebSocket(mask=False).units(events, replies.append))
+    assert units == [(TAG_JSON, bytearray(b"half+half"),
+                      len(wire) - len(ping))]
+    assert replies == [[encode_frame(ws.OP_PONG, b"hb")]]
 
 
-def test_data_frame_inside_fragmented_message_rejected():
-    client_sock, server_sock, server = _pair()
-    try:
-        client_sock.sendall(
+def test_decoder_rejects_data_frame_inside_fragmented_message(decode):
+    with pytest.raises(WsProtocolError, match="interleaved") as info:
+        decode(
             encode_frame(OP_TEXT, b"start", fin=False, mask=True)
             + encode_frame(OP_BINARY, b"intruder", fin=True, mask=True)
         )
-        with pytest.raises(WsProtocolError, match="interleaved"):
-            server.recv_message()
-    finally:
-        client_sock.close()
-        server_sock.close()
+    assert info.value.code == CLOSE_PROTOCOL_ERROR
 
 
-def test_oversized_frame_rejected_with_too_big():
-    client_sock, server_sock, server = _pair(max_payload=64)
-    try:
-        client_sock.sendall(encode_frame(OP_BINARY, b"x" * 65, mask=True))
-        with pytest.raises(WsProtocolError) as info:
-            server.recv_message()
-        assert info.value.code == CLOSE_TOO_BIG
-    finally:
-        client_sock.close()
-        server_sock.close()
+def test_decoder_rejects_oversized_frame_with_too_big(decode):
+    with pytest.raises(WsProtocolError) as info:
+        decode(encode_frame(OP_BINARY, b"x" * 65, mask=True), max_payload=64)
+    assert info.value.code == CLOSE_TOO_BIG
 
 
-def test_reserved_bits_rejected():
-    client_sock, server_sock, server = _pair()
-    try:
-        client_sock.sendall(bytes([0x80 | 0x40 | OP_TEXT, 0x80]) + b"\0\0\0\0")
-        with pytest.raises(WsProtocolError, match="reserved"):
-            server.recv_message()
-    finally:
-        client_sock.close()
-        server_sock.close()
+def test_decoder_rejects_reserved_bits(decode):
+    with pytest.raises(WsProtocolError, match="reserved") as info:
+        decode(bytes([0x80 | 0x40 | OP_TEXT, 0x80]) + b"\0\0\0\0")
+    assert info.value.code == CLOSE_PROTOCOL_ERROR
 
 
-def test_close_is_echoed_and_raises():
-    client_sock, server_sock, server = _pair()
-    try:
-        payload = struct.pack(">H", CLOSE_NORMAL) + b"bye"
-        client_sock.sendall(encode_frame(OP_CLOSE, payload, mask=True))
-        with pytest.raises(ConnectionError):
-            server.recv_message()
-        assert server.closed_by_peer == CLOSE_NORMAL
-        client = WsConnection(client_sock, require_mask=False)
-        frame_op, _fin, echoed = client._read_frame()
-        assert frame_op == OP_CLOSE
-        assert echoed == struct.pack(">H", CLOSE_NORMAL)
-    finally:
-        client_sock.close()
-        server_sock.close()
+def test_decoder_close_ends_the_stream_and_is_echoed(decode):
+    payload = struct.pack(">H", CLOSE_NORMAL) + b"bye"
+    events = decode(
+        encode_frame(OP_CLOSE, payload, mask=True)
+        + encode_frame(OP_TEXT, b"after the close", mask=True)
+    )
+    assert events == [("close", CLOSE_NORMAL)]
+    # The framing turns it into the error that ends the connection...
+    framing = WebSocket(mask=False)
+    with pytest.raises(WsClosed) as info:
+        list(framing.units(events, lambda parts: None))
+    assert isinstance(info.value, ConnectionError)
+    assert info.value.code == CLOSE_NORMAL
+    # ...whose goodbye echoes the code alone, as one well-formed CLOSE.
+    echo = b"".join(framing.goodbye(info.value.code, info.value.reason))
+    assert echo == encode_frame(OP_CLOSE, struct.pack(">H", CLOSE_NORMAL))
+    assert WsDecoder(require_mask=False).feed(echo) == \
+        [("close", CLOSE_NORMAL)]
 
 
 # ----------------------------------------------------------------------

@@ -9,16 +9,22 @@ import json
 import os
 import re
 import socket
+import struct
 import threading
 import time
 
 import pytest
 
-from repro.bridge.protocol import BridgeProtocolError
+from repro.bridge.protocol import MAX_FRAME, BridgeProtocolError
 from repro.bridge.server import BridgeServer
 from repro.bridge.ws import (
+    CLOSE_PROTOCOL_ERROR,
+    CLOSE_TOO_BIG,
+    OP_BINARY,
+    OP_CLOSE,
     OP_TEXT,
     WsBridgeClient,
+    WsDecoder,
     accept_key,
     encode_frame,
     sse_url,
@@ -92,6 +98,32 @@ def _upgrade_request(host, port, key, extra: str = "") -> bytes:
         f"Sec-WebSocket-Key: {key}\r\n"
         f"Sec-WebSocket-Version: 13\r\n{extra}\r\n"
     ).encode("latin-1")
+
+
+def _upgraded_socket(server, frontend) -> socket.socket:
+    """A raw client socket past the ws upgrade (for hand-made frames)."""
+    sock = socket.create_connection((server.host, frontend.port),
+                                    timeout=10.0)
+    key = base64.b64encode(os.urandom(16)).decode("ascii")
+    sock.sendall(_upgrade_request(server.host, frontend.port, key))
+    response = b""
+    while b"\r\n\r\n" not in response:
+        response += sock.recv(4096)
+    assert b" 101 " in response.partition(b"\r\n")[0]
+    return sock
+
+
+def _drain(sock) -> bytes:
+    """Everything the server sent until it closed the connection."""
+    data = b""
+    while True:
+        try:
+            chunk = sock.recv(1 << 16)
+        except ConnectionError:
+            return data
+        if not chunk:
+            return data
+        data += chunk
 
 
 # ----------------------------------------------------------------------
@@ -265,16 +297,8 @@ def test_slow_client_is_evicted_healthy_client_keeps_flowing(server):
                                 evict_strikes=3)
     pub = WsBridgeClient(server.host, frontend.port)
     healthy = WsBridgeClient(server.host, frontend.port)
-    slow = socket.create_connection((server.host, frontend.port),
-                                    timeout=10.0)
+    slow = _upgraded_socket(server, frontend)
     try:
-        key = base64.b64encode(os.urandom(16)).decode("ascii")
-        slow.sendall(_upgrade_request(server.host, frontend.port, key))
-        response = b""
-        while b"\r\n\r\n" not in response:
-            response += slow.recv(4096)
-        assert b" 101 " in response.partition(b"\r\n")[0]
-
         pub.advertise("/ws/bulk", "sensor_msgs/Image@sfm")
         Image = generate_sfm_class("sensor_msgs/Image", default_registry)
         img = Image()
@@ -301,7 +325,10 @@ def test_slow_client_is_evicted_healthy_client_keeps_flowing(server):
             time.sleep(0.01)
         assert _wait(lambda: server.evictions == 1, timeout=10.0), \
             "stalled subscriber was never evicted"
+        # Counted once, in one place: every view reads the same tally.
         assert frontend.stats()["evictions"] == 1
+        assert server.stats_snapshot()["evictions"] == 1
+        assert server.tally("evicted", "ws") == 1
         # Its subscription is gone from the server...
         assert _wait(lambda: all(
             sess["transport"] != "ws" or not sess["evicted"]
@@ -316,6 +343,84 @@ def test_slow_client_is_evicted_healthy_client_keeps_flowing(server):
         slow.close()
         pub.close()
         healthy.close()
+
+
+# ----------------------------------------------------------------------
+# The goodbye: one path, on a frame boundary or not at all
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bad_frame, code, reason", [
+    (encode_frame(OP_TEXT, b'{"op":"stats"}', mask=False),
+     CLOSE_PROTOCOL_ERROR, b"masked"),
+    (bytes([0x80 | OP_BINARY, 0x80 | 127])
+     + struct.pack(">Q", MAX_FRAME + 1), CLOSE_TOO_BIG, b"exceeds"),
+], ids=["unmasked-1002", "oversized-1009"])
+def test_protocol_error_on_idle_session_is_answered_with_close(
+    server, bad_frame, code, reason
+):
+    frontend = server.enable_ws()
+    sock = _upgraded_socket(server, frontend)
+    try:
+        sock.sendall(bad_frame)
+        goodbye = _drain(sock)
+        # One whole, unmasked CLOSE frame and nothing else.
+        assert goodbye[0] == 0x80 | OP_CLOSE
+        assert len(goodbye) == 2 + goodbye[1]
+        assert struct.unpack(">H", goodbye[2:4])[0] == code
+        assert reason in goodbye[4:]
+        assert WsDecoder(require_mask=False).feed(goodbye) == \
+            [("close", code)]
+        assert _wait(lambda: server.stats_snapshot()["clients"] == 0)
+    finally:
+        sock.close()
+
+
+def test_goodbye_never_lands_inside_a_partially_flushed_frame(server):
+    """A stalled reader leaves a half-written batch in the link; a
+    protocol error then must not write its CLOSE into the middle of it:
+    everything the client later drains is whole, intact frames."""
+    frontend = server.enable_ws(evict_strikes=0)
+    pub = WsBridgeClient(server.host, frontend.port)
+    sock = _upgraded_socket(server, frontend)
+    try:
+        pub.advertise("/ws/torn", "sensor_msgs/Image@sfm")
+        Image = generate_sfm_class("sensor_msgs/Image", default_registry)
+        img = Image()
+        img.height, img.width = 128, 128
+        img.data = os.urandom(128 * 128 * 4)
+        payload = bytes(img.to_wire())
+        subscribe = json.dumps({
+            "op": "subscribe", "id": "s", "topic": "/ws/torn",
+            "type": "sensor_msgs/Image@sfm", "codec": "raw",
+        }).encode("utf-8")
+        sock.sendall(encode_frame(OP_TEXT, subscribe, mask=True))
+        port = sock.getsockname()[1]
+        assert _wait(lambda: any(
+            sess.peer.endswith(f":{port}") and sess.subscriptions
+            for sess in server._sessions
+        ))
+        session = next(sess for sess in server._sessions
+                       if sess.peer.endswith(f":{port}"))
+
+        # ... the client stops reading; publish until the link backs up.
+        def backed_up() -> bool:
+            pub.publish_raw("/ws/torn", payload)
+            return session._rlink.write_backlog() > 0
+
+        assert _wait(backed_up, timeout=10.0)
+        sock.sendall(encode_frame(OP_TEXT, b"unmasked", mask=False))
+        assert _wait(lambda: session.closed)
+
+        decoder = WsDecoder(require_mask=False)
+        events = decoder.feed(_drain(sock))  # raises on a torn header
+        ack, *deliveries = events
+        assert ack[1] == OP_TEXT and json.loads(ack[2])["id"] == "s"
+        assert deliveries
+        for _kind, opcode, unit, _wire in deliveries:
+            # tag | sid | the published bytes, untouched
+            assert opcode == OP_BINARY and bytes(unit[5:]) == payload
+    finally:
+        sock.close()
+        pub.close()
 
 
 # ----------------------------------------------------------------------

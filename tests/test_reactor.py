@@ -194,6 +194,36 @@ class TestStreamLink:
             right.close()
 
 
+    def test_send_if_idle_only_lands_between_writes(self, loop):
+        """The last-word send goes out when nothing is unflushed and is
+        skipped -- not queued, not interleaved -- behind a stalled batch,
+        so what the peer reads is every write whole."""
+        link, peer, _events, _errors, _done = _linked_pair(loop)
+        try:
+            assert link.send_if_idle(b"idle")
+            peer.settimeout(5.0)
+            assert peer.recv(64) == b"idle"
+            # The peer stops reading: a write larger than the socket
+            # buffers is left partially flushed.
+            link.write([b"x" * (8 << 20)])
+            wait_until(lambda: link.stats()["tx_bytes"] > 4, timeout=5.0)
+            assert link.write_backlog() > 0
+            assert not link.send_if_idle(b"TORN")
+            link.close()
+            assert not link.send_if_idle(b"late")
+            received = b""
+            while True:
+                data = peer.recv(1 << 20)
+                if not data:
+                    break
+                received += data
+            assert received and set(received) == {ord("x")}
+            assert len(received) == link.stats()["tx_bytes"] - 4
+        finally:
+            link.close()
+            peer.close()
+
+
 # ----------------------------------------------------------------------
 # Scheduling primitives
 # ----------------------------------------------------------------------

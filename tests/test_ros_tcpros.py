@@ -56,6 +56,17 @@ class TestFraming:
         for i in range(5):
             assert bytes(tcpros.read_frame(b)) == bytes([i]) * (i + 1)
 
+    def test_send_parts_takes_more_parts_than_one_sendmsg(self, sock_pair):
+        # A bridge unit fragmented at a small max_frame is thousands of
+        # parts; one sendmsg takes IOV_MAX (1024) at most.
+        a, b = sock_pair
+        parts = tcpros.frame_parts([bytes([i % 251]) * 3 for i in range(3000)])
+        parts = [bytes(parts[0][i:i + 7]) for i in range(0, len(parts[0]), 7)]
+        assert len(parts) == 3000
+        tcpros.send_parts(a, parts)
+        for i in range(3000):
+            assert bytes(tcpros.read_frame(b)) == bytes([i % 251]) * 3
+
     def test_eof_raises_connection_error(self, sock_pair):
         a, b = sock_pair
         a.close()
