@@ -14,13 +14,12 @@ is nightly material, not a tier-1 gate).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
 import pytest
 
-from repro import chaos
+from repro import chaos, config
 from repro.msg.library import String
 from repro.ros.node import NodeHandle
 from repro.ros.retry import wait_until
@@ -123,7 +122,7 @@ def run_soak(rounds: int = 10, seed: int = 1) -> dict:
     return payload
 
 
-@pytest.mark.skipif(os.environ.get("REPRO_SOAK") != "1",
+@pytest.mark.skipif(not config.soak(),
                     reason="soak is nightly-only (set REPRO_SOAK=1)")
 def test_chaos_soak_recovers_every_round():
     payload = run_soak(rounds=10, seed=1)

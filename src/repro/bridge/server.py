@@ -165,10 +165,6 @@ class _TopicTap:
                 self._subs.remove(sub)
             return not self._subs
 
-    def empty(self) -> bool:
-        with self._lock:
-            return not self._subs
-
     # ------------------------------------------------------------------
     # Fan-out (runs on the internal subscriber's delivery queue)
     # ------------------------------------------------------------------
@@ -797,10 +793,6 @@ class BridgeServer:
         )
         self.host, self.port = self._acceptor.host, self._acceptor.port
         obs_instrument.track_bridge(self)
-
-    @property
-    def uri(self) -> str:
-        return f"bridge://{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
     # Accepting clients

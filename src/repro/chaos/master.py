@@ -49,10 +49,6 @@ class ChaosMaster:
     # Scenario actions
     # ------------------------------------------------------------------
     @property
-    def running(self) -> bool:
-        return self._server is not None
-
-    @property
     def epoch(self) -> str:
         return self.registry.epoch
 
@@ -99,12 +95,12 @@ class ChaosGraphPlane:
 
     Wraps :class:`repro.graphplane.launch.GraphPlane` and exposes the
     same verbs as :class:`ChaosMaster` with a ``shard`` argument --
-    ``pause(0)`` downs only shard 0's leader, ``resume(0,
-    fresh_registry=True)`` brings it back amnesiac.  Replicas keep their
-    probe/promote behaviour, so pausing a leader long enough is the
-    "kill the leader mid-traffic" scenario.  All timing knobs are plain
-    numbers and every decision is deterministic given the scenario's
-    seed, so a failure replays exactly.
+    ``pause(0)`` downs only shard 0's leader, ``restart(0)`` bounces it
+    back amnesiac.  Replicas keep their probe/promote behaviour, so
+    pausing a leader long enough is the "kill the leader mid-traffic"
+    scenario.  All timing knobs are plain numbers and every decision is
+    deterministic given the scenario's seed, so a failure replays
+    exactly.
     """
 
     def __init__(
@@ -127,10 +123,6 @@ class ChaosGraphPlane:
         self.spec = self.plane.spec
 
     # -- lookup ----------------------------------------------------------
-    @property
-    def shard_count(self) -> int:
-        return self.plane.shard_count
-
     def shard_for(self, name: str) -> int:
         """Which shard a fault must target to affect ``name``."""
         return self.plane.shard_for(name)
@@ -141,16 +133,10 @@ class ChaosGraphPlane:
     def replica(self, shard: int):
         return self.plane.replicas[shard]
 
-    def epoch(self, shard: int) -> str:
-        return self.plane.leaders[shard].epoch
-
     # -- per-shard scenario actions --------------------------------------
     def pause(self, shard: int) -> None:
         """Down one shard's leader (connection refused), state kept."""
         self.plane.leaders[shard].pause()
-
-    def resume(self, shard: int, fresh_registry: bool = False) -> None:
-        self.plane.leaders[shard].resume(fresh_registry=fresh_registry)
 
     def restart(self, shard: int) -> None:
         """Amnesiac bounce of one shard's leader (new epoch)."""

@@ -1,8 +1,8 @@
 """One window onto every ``REPRO_*`` environment switch.
 
-Six switches, no more: transport choices (``REPRO_SHMROS``,
-``REPRO_TZC``, ``REPRO_TRANSPORT_PLANNER``), observability
-(``REPRO_OBS``, ``REPRO_OBS_WIRE``) and ``REPRO_SOAK``.  The I/O model
+Five switches, no more: transport choices (``REPRO_SHMROS``,
+``REPRO_TZC``), observability (``REPRO_OBS``, ``REPRO_OBS_WIRE``) and
+``REPRO_SOAK``.  The I/O model
 and the SFM accessor/allocator strategies are not among them -- every
 connection runs on the reactor (:mod:`repro.ros.reactor`), send-side
 frame coalescing is a constant of the link pump, compiled accessors
@@ -31,8 +31,7 @@ from typing import Optional
 
 __all__ = [
     "SWITCHES", "flag", "reset", "describe",
-    "tzc", "shmros",
-    "transport_planner", "obs", "obs_wire", "soak",
+    "tzc", "shmros", "obs", "obs_wire", "soak",
 ]
 
 
@@ -68,8 +67,6 @@ SWITCHES: dict[str, Switch] = {
                "TZC partial serialization on remote SFM links"),
         Switch("REPRO_SHMROS", True,
                "shared-memory transport (slot rings + doorbell)"),
-        Switch("REPRO_TRANSPORT_PLANNER", False,
-               "adaptive per-link transport planner", truthy=True),
         Switch("REPRO_OBS", True,
                "metrics registry (counters, gauges, histograms)"),
         Switch("REPRO_OBS_WIRE", True,
@@ -133,10 +130,6 @@ def tzc() -> bool:
 
 def shmros() -> bool:
     return flag("REPRO_SHMROS")
-
-
-def transport_planner() -> bool:
-    return flag("REPRO_TRANSPORT_PLANNER")
 
 
 def obs() -> bool:

@@ -139,14 +139,6 @@ class ComplexType(FieldType):
 
     name: str
 
-    @property
-    def package(self) -> str:
-        return self.name.split("/", 1)[0] if "/" in self.name else ""
-
-    @property
-    def short_name(self) -> str:
-        return self.name.split("/", 1)[-1]
-
     def is_fixed_size(self) -> bool:
         # Resolution happens in the registry; a bare ComplexType is
         # conservatively variable-size.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.msg.fields import (
     ArrayType,
@@ -88,12 +88,6 @@ class TypeRegistry:
     # ------------------------------------------------------------------
     # Structural queries
     # ------------------------------------------------------------------
-    def resolve(self, ftype: FieldType) -> Optional[MessageSpec]:
-        """Return the spec behind a :class:`ComplexType`, else None."""
-        if isinstance(ftype, ComplexType):
-            return self.get(ftype.name)
-        return None
-
     def is_fixed_size(self, ftype: FieldType) -> bool:
         """Whole-graph fixed-size check (arrays of fixed-size messages with
         declared lengths are fixed-size, etc.)."""

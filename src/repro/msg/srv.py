@@ -29,14 +29,6 @@ class ServiceSpec:
     response: MessageSpec
     text: str
 
-    @property
-    def package(self) -> str:
-        return self.full_name.split("/", 1)[0]
-
-    @property
-    def short_name(self) -> str:
-        return self.full_name.split("/", 1)[-1]
-
 
 def parse_service_definition(full_name: str, text: str) -> ServiceSpec:
     """Split a ``.srv`` body at ``---`` and parse both halves.
@@ -98,9 +90,6 @@ class ServiceRegistry:
 
     def get(self, full_name: str) -> ServiceSpec:
         return self._services[full_name]
-
-    def __contains__(self, full_name: str) -> bool:
-        return full_name in self._services
 
     def md5sum(self, full_name: str) -> str:
         """Service fingerprint: md5 over the request and response md5

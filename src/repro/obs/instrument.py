@@ -91,8 +91,7 @@ received_bytes = global_registry.counter(
 )
 subscriber_transport = global_registry.gauge(
     "miniros_subscriber_transport_links",
-    "Connected subscriber links per (topic, transport) -- the transport "
-    "planner's decisions are visible here as links move between cells.",
+    "Connected subscriber links per (topic, transport).",
     labels=("topic", "transport"),
 )
 link_state = global_registry.gauge(

@@ -21,9 +21,8 @@ the per-message path never touches a dict.
 from __future__ import annotations
 
 import bisect
-import os
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 #: Default histogram bounds (seconds): tuned for pub/sub latencies from
 #: tens of microseconds (intra-machine SHMROS) to whole seconds (a
@@ -310,10 +309,6 @@ class Registry:
                   buckets: Optional[Sequence[float]] = None) -> Histogram:
         return self._family(Histogram, name, help_text, labels,
                             buckets=buckets)
-
-    def get(self, name: str) -> Optional[_Family]:
-        with self._lock:
-            return self._families.get(name)
 
     def families(self) -> list[_Family]:
         with self._lock:

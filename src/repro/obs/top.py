@@ -204,8 +204,6 @@ class TopMonitor:
         sample)."""
         from repro.sfm.manager import global_message_manager
 
-        from repro.ros.planner import last_decision_for
-
         rows = []
         for topic in sorted(self._taps):
             tap = self._taps[topic]
@@ -218,7 +216,6 @@ class TopMonitor:
                 name if count == 1 else f"{name}x{count}"
                 for name, count in sorted(transports.items())
             ) or "-"
-            decision = last_decision_for(topic)
             rows.append({
                 "topic": topic,
                 "type": tap.type_name + tap.flavour,
@@ -227,12 +224,6 @@ class TopMonitor:
                 "rate": rate,
                 "bandwidth": bandwidth,
                 "transport": transport,
-                #: The in-process planner's latest verdict for the topic
-                #: ("-" while it has none): ``SHMROS:large-payloads``.
-                "plan": (
-                    f"{decision['to']}:{decision['reason']}"
-                    if decision is not None else "-"
-                ),
                 "state": (
                     tap.subscriber.link_state
                     if tap.subscriber is not None else "error"
@@ -276,7 +267,7 @@ class TopMonitor:
         lines = [
             f"{'TOPIC':<32} {'TYPE':<28} {'MSGS':>8} "
             f"{'RATE':>10} {'BANDWIDTH':>12} {'TRANSPORT':<12} "
-            f"{'PLAN':<22} {'STATE':<12}"
+            f"{'STATE':<12}"
         ]
         for row in sample["rows"]:
             lines.append(
@@ -284,7 +275,6 @@ class TopMonitor:
                 f"{row['messages']:>8} {row['rate']:>8.1f}Hz "
                 f"{_human_bytes(row['bandwidth']):>12} "
                 f"{row.get('transport', '-'):<12} "
-                f"{row.get('plan', '-'):<22} "
                 f"{row.get('state', 'healthy'):<12}"
             )
         if not sample["rows"]:

@@ -83,10 +83,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Windows
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        return self._active
-
     def start(self, sample_every: int = 1, clear: bool = True) -> None:
         """Open a trace window: every ``sample_every``-th published
         message gets a trace id (1 = trace everything)."""

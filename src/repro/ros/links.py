@@ -439,7 +439,6 @@ class _InboundLink:
         publisher_uri: str,
         allow_shm: Optional[bool] = None,
         downgraded: bool = False,
-        planned_reason: str = "",
     ) -> None:
         self.subscriber = subscriber
         self.publisher_uri = publisher_uri
@@ -450,10 +449,6 @@ class _InboundLink:
         #: The retry scheduler forced this link off shared memory
         #: (SHM -> TCPROS downgrade); surfaces as ``link_state=degraded``.
         self.downgraded = downgraded
-        #: Why the transport planner dialed this link the way it did
-        #: ("" for links the planner did not touch).  A planned flip is a
-        #: *choice*, not a failure, so it never marks the link degraded.
-        self.planned_reason = planned_reason
         #: None: decide from node/env.  False: the reconnect path already
         #: burned its SHM attempts for this publisher.
         self._allow_shm = allow_shm
@@ -462,7 +457,7 @@ class _InboundLink:
         self.traced = False
         #: The publisher confirmed ``tzc=1``: messages arrive as a
         #: control + bulk frame pair (partial serialization).  Reported
-        #: as transport "TCPROS" -- the planner's ladder reasons about
+        #: as transport "TCPROS" -- the retry ladder reasons about
         #: SHMROS vs TCPROS, and TZC is a framing of the latter.
         self.tzc = False
         #: Slot notifications skipped because the publisher had already

@@ -165,50 +165,6 @@ class MasterRegistry:
                 if entry.type_name
             ]
 
-    # -- replication snapshots ---------------------------------------------
-    def dump(self) -> dict:
-        """A plain-data snapshot of the whole registry (the bootstrap a
-        shard replica loads before tailing the registration log)."""
-        with self._lock:
-            return {
-                "epoch": self.epoch,
-                "topics": {
-                    topic: {
-                        "type": entry.type_name,
-                        "publishers": dict(entry.publishers),
-                        "subscribers": dict(entry.subscribers),
-                    }
-                    for topic, entry in self._topics.items()
-                },
-                "nodes": dict(self._nodes),
-                "services": {
-                    name: list(entry)
-                    for name, entry in self._services.items()
-                },
-                "parameters": dict(self._parameters),
-            }
-
-    def load(self, doc: dict) -> None:
-        """Replace this registry's state (and epoch) with a snapshot
-        produced by :meth:`dump` -- the replica adopts the leader's
-        identity, so a later promotion is invisible to epoch watchdogs."""
-        with self._lock:
-            self._topics = {
-                topic: _TopicEntry(
-                    entry["type"],
-                    dict(entry["publishers"]),
-                    dict(entry["subscribers"]),
-                )
-                for topic, entry in doc.get("topics", {}).items()
-            }
-            self._nodes = dict(doc.get("nodes", {}))
-            self._services = {
-                name: tuple(entry)
-                for name, entry in doc.get("services", {}).items()
-            }
-            self._parameters = dict(doc.get("parameters", {}))
-            self.epoch = doc["epoch"]
-
     def system_state(self):
         with self._lock:
             pubs = [

@@ -25,7 +25,6 @@ import threading
 import xmlrpc.server
 from typing import Callable
 
-from repro import config
 from repro.ros import names
 from repro.ros.exceptions import NodeShutdownError
 from repro.ros.master import SUCCESS, ERROR, MasterProxy
@@ -103,8 +102,6 @@ class NodeHandle:
         link_retry: RetryPolicy = DEFAULT_LINK_RETRY,
         link_keepalive: float = 2.0,
         link_idle_timeout: float = 15.0,
-        transport_planner: bool | None = None,
-        planner_interval: float = 2.0,
     ) -> None:
         self.name = names.resolve(name, namespace)
         self.namespace = namespace
@@ -160,16 +157,6 @@ class NodeHandle:
         self._slave_thread.start()
         host, port = self._slave_server.server_address
         self.uri = f"http://{host}:{port}/"
-
-        #: Adaptive transport planner (repro.ros.planner): flips this
-        #: node's subscriber links between SHMROS and TCPROS to match the
-        #: observed traffic.  Off by default; ``transport_planner=True``
-        #: or ``REPRO_TRANSPORT_PLANNER=1`` turns it on.
-        self.planner = None
-        if transport_planner is None:
-            transport_planner = config.transport_planner()
-        if transport_planner:
-            self.enable_transport_planner(interval=planner_interval)
 
         self._watch_thread: threading.Thread | None = None
         if master_probe_interval and master_probe_interval > 0:
@@ -252,16 +239,6 @@ class NodeHandle:
         )
         subscriber.update_publishers(publishers)
         return subscriber
-
-    def enable_transport_planner(self, **kwargs) -> "TransportPlanner":
-        """Start (or return the already-running) adaptive transport
-        planner for this node's subscriptions; keyword arguments are
-        passed to :class:`repro.ros.planner.TransportPlanner`."""
-        from repro.ros.planner import TransportPlanner
-
-        if self.planner is None:
-            self.planner = TransportPlanner(self, **kwargs)
-        return self.planner
 
     # ------------------------------------------------------------------
     # Services and parameters
@@ -503,8 +480,6 @@ class NodeHandle:
                 sub for subs in self._subscribers.values() for sub in subs
             ]
             services = list(self._services.values())
-        if self.planner is not None:
-            self.planner.close()
         self._watch_stop.set()
         if self._watch_thread is not None:
             self._watch_thread.join(timeout=2.0)

@@ -33,7 +33,7 @@ mux, bridge/ws sessions) register against:
 ``close()``
     idempotent, exception-free teardown.
 
-Retry, keepalive, idle-timeout and planner plumbing all route through
+Retry, keepalive and idle-timeout plumbing all route through
 this seam (reactor timers + the protocol methods).  Each wire format has
 one incremental decoder fed by :class:`StreamLink` (``FrameDecoder``
 here, ``DoorbellDecoder``, ``SplitDecoder``, ``WsDecoder`` and

@@ -42,10 +42,6 @@ class Duration:
         """This span as fractional seconds."""
         return self.secs + self.nsecs / _NSECS_PER_SEC
 
-    def to_nsec(self) -> int:
-        """This span as integer nanoseconds."""
-        return self.secs * _NSECS_PER_SEC + self.nsecs
-
     def __iter__(self):
         return iter((self.secs, self.nsecs))
 
@@ -92,10 +88,6 @@ class Time:
     def to_sec(self) -> float:
         """This instant as fractional seconds since the epoch."""
         return self.secs + self.nsecs / _NSECS_PER_SEC
-
-    def to_nsec(self) -> int:
-        """This instant as integer nanoseconds since the epoch."""
-        return self.secs * _NSECS_PER_SEC + self.nsecs
 
     def __iter__(self):
         return iter((self.secs, self.nsecs))

@@ -296,18 +296,18 @@ def cmd_graph(args) -> int:
         from repro.graphplane import GraphPlane
 
         plane = GraphPlane(shards=args.shards, replicas=not args.no_replicas)
-        print(f"graph plane up: {plane.shard_count} shard(s)"
-              f"{'' if args.no_replicas else ' + replicas'}", flush=True)
-        print(f"spec: {plane.spec}", flush=True)
         routed = None
-        if args.routed:
-            from repro.graphplane import RouteD
-
-            routed = RouteD(name=args.routed_name)
-            print(f"routed '{routed.name}' listening on "
-                  f"{routed.listen_addr[0]}:{routed.listen_addr[1]} "
-                  f"(admin {routed.admin_uri})", flush=True)
         try:
+            print(f"graph plane up: {plane.shard_count} shard(s)"
+                  f"{'' if args.no_replicas else ' + replicas'}", flush=True)
+            print(f"spec: {plane.spec}", flush=True)
+            if args.routed:
+                from repro.graphplane import RouteD
+
+                routed = RouteD(name=args.routed_name)
+                print(f"routed '{routed.name}' listening on "
+                      f"{routed.listen_addr[0]}:{routed.listen_addr[1]} "
+                      f"(admin {routed.admin_uri})", flush=True)
             while True:
                 time.sleep(0.5)
         except KeyboardInterrupt:
@@ -385,24 +385,24 @@ def cmd_bridge(args) -> int:
     server = BridgeServer(
         args.master, host=args.host, port=args.port, node_name=args.name
     )
-    if args.ws_port is not None:
-        frontend = server.enable_ws(
-            host=args.host, port=args.ws_port,
-            auth_tokens=args.auth_token,
-        )
-        print(f"websocket front door at {frontend.url} "
-              f"(SSE fallback on /sse"
-              f"{', token auth on' if args.auth_token else ''})",
-              flush=True)
     metrics = None
-    if args.metrics_port is not None:
-        from repro.obs.export import MetricsServer
-
-        metrics = MetricsServer(host=args.host, port=args.metrics_port)
-        print(f"metrics at {metrics.url}/metrics", flush=True)
-    print(f"bridge listening on {server.host}:{server.port} "
-          f"(graph master {args.master})", flush=True)
     try:
+        if args.ws_port is not None:
+            frontend = server.enable_ws(
+                host=args.host, port=args.ws_port,
+                auth_tokens=args.auth_token,
+            )
+            print(f"websocket front door at {frontend.url} "
+                  f"(SSE fallback on /sse"
+                  f"{', token auth on' if args.auth_token else ''})",
+                  flush=True)
+        if args.metrics_port is not None:
+            from repro.obs.export import MetricsServer
+
+            metrics = MetricsServer(host=args.host, port=args.metrics_port)
+            print(f"metrics at {metrics.url}/metrics", flush=True)
+        print(f"bridge listening on {server.host}:{server.port} "
+              f"(graph master {args.master})", flush=True)
         while True:
             if args.stats_interval:
                 from repro.obs.top import render_bridge_clients

@@ -513,9 +513,7 @@ class Subscriber:
         self.received_count = 0
         #: Payload bytes received over socket transports (SHM slots and
         #: TCPROS/inline frames).  Intra-process deliveries hand over the
-        #: object itself, so they contribute no bytes here.  The transport
-        #: planner divides this by ``received_count`` for the observed
-        #: message size.
+        #: object itself, so they contribute no bytes here.
         self.received_bytes = 0
         #: Messages announced by a SHMROS doorbell whose slot had already
         #: been reclaimed by the time we looked (we were too slow).
@@ -674,38 +672,6 @@ class Subscriber:
         timer = self._timers.pop(uri, None)
         if timer is not None:
             timer.cancel()
-
-    # ------------------------------------------------------------------
-    # Transport planning
-    # ------------------------------------------------------------------
-    def set_transport_preference(
-        self, uri: str, transport: str, reason: str = ""
-    ) -> bool:
-        """Re-dial the link to ``uri`` with the given transport ("SHMROS"
-        or "TCPROS") -- the planner's flip primitive.
-
-        The replacement link is installed *before* the old one is closed:
-        ``_link_closed`` then sees the dying link is no longer current and
-        schedules no retry, so a flip is one reconnect, not a reconnect
-        plus a spurious self-heal.  Returns True when a flip was started.
-        """
-        if transport not in ("SHMROS", "TCPROS"):
-            raise ValueError(f"unknown transport {transport!r}")
-        with self._lock:
-            if self._shutdown or uri not in self._links:
-                return False
-            old = self._links[uri]
-            if old.transport is None or old.transport == transport:
-                # Still connecting, or already where the planner wants it.
-                return False
-            self._links[uri] = _InboundLink(
-                self, uri,
-                allow_shm=(transport == "SHMROS"),
-                planned_reason=reason,
-            )
-            self._refresh_state()
-        old.close()
-        return True
 
     # ------------------------------------------------------------------
     # link_state (healthy / degraded / reconnecting / dead)

@@ -33,7 +33,6 @@ link down through the ordinary downgrade ladder instead of wedging it.
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Optional
 
@@ -86,10 +85,6 @@ class TzcParts:
         self.control = control
         self.bulk = bulk
         self.bulk_len = bulk_len
-
-    def __len__(self) -> int:
-        """Total payload bytes (both frames), for batching accounting."""
-        return len(self.control) + self.bulk_len
 
 
 def split_message(

@@ -17,14 +17,13 @@ The **ROS-SF Converter** (the compile-time component) lives in
 :mod:`repro.converter`.
 """
 
-from repro.rossf.framework import enable_for_types, messages, sfm_classes_for
+from repro.rossf.framework import messages, sfm_classes_for
 from repro.rossf.serializer import SfmCodec
 from repro.rossf.diagnostics import ManagerReport, find_leaks, report
 
 __all__ = [
     "ManagerReport",
     "SfmCodec",
-    "enable_for_types",
     "find_leaks",
     "messages",
     "report",

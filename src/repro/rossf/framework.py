@@ -33,20 +33,6 @@ def sfm_classes_for(
     return [generate_sfm_class(name, registry) for name in type_names]
 
 
-def enable_for_types(
-    *type_names: str, registry: Optional[TypeRegistry] = None
-) -> dict[str, type]:
-    """SFM classes keyed by short name, for namespace injection::
-
-        globals().update(enable_for_types("sensor_msgs/Image"))
-    """
-    registry = registry or default_registry
-    return {
-        name.rsplit("/", 1)[-1]: generate_sfm_class(name, registry)
-        for name in type_names
-    }
-
-
 def messages(registry: Optional[TypeRegistry] = None) -> SimpleNamespace:
     """An ``sfm`` mirror of :mod:`repro.msg.library`: every library type
     as an SFM class, attribute-addressable by short name.

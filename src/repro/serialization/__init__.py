@@ -14,7 +14,7 @@
   formats and by SFM's subscriber-side endianness conversion.
 """
 
-from repro.serialization.base import WireFormat, registry_of_formats
+from repro.serialization.base import WireFormat
 from repro.serialization.rosser import ROSSerializer
 
-__all__ = ["WireFormat", "ROSSerializer", "registry_of_formats"]
+__all__ = ["WireFormat", "ROSSerializer"]

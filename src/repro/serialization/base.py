@@ -44,24 +44,3 @@ class WireFormat:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<WireFormat {self.name}>"
-
-
-def registry_of_formats(registry: Optional[TypeRegistry] = None) -> dict:
-    """Instantiate every built-in wire format, keyed by display name.
-
-    Mirrors the seven bars of the paper's Fig. 14 (ROS-SF is provided by
-    :mod:`repro.rossf` since it needs the life-cycle manager, and is added
-    by the benchmark harness).
-    """
-    from repro.serialization.flatbuffer import FlatBufferFormat
-    from repro.serialization.protobuf import ProtoBufFormat
-    from repro.serialization.rosser import ROSSerializer
-    from repro.serialization.xcdr2 import XCDR2Format
-
-    formats = [
-        ROSSerializer(registry),
-        ProtoBufFormat(registry),
-        FlatBufferFormat(registry),
-        XCDR2Format(registry),
-    ]
-    return {fmt.name: fmt for fmt in formats}

@@ -284,16 +284,9 @@ class ProtoBufFormat(WireFormat):
                 out += body
 
             return write_packed_int
-        # Repeated messages/strings: one tagged entry per element.
-        element_writer = self._field_writer(number, element)
-
-        def write_repeated(value, out):
-            for item in value:
-                element_writer(item, out)
-
-        # A complex/string element writer omits empty values; repeated
-        # fields must keep them to preserve element count, so force
-        # emission through a wrapper that never skips.
+        # Repeated messages/strings: one tagged entry per element.  A
+        # complex/string field writer omits empty values; repeated fields
+        # must keep them to preserve element count, so these never skip.
         if isinstance(element, ComplexType):
             inner = element.name
 
@@ -317,7 +310,7 @@ class ProtoBufFormat(WireFormat):
                     out += data
 
             return write_repeated_strings
-        return write_repeated
+        raise TypeError(f"unsupported array element {element!r}")
 
     # ------------------------------------------------------------------
     # Readers

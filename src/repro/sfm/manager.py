@@ -195,10 +195,6 @@ class BufferPointer:
         self._pin = (slab, slab.pin()) if slab is not None else None
 
     @property
-    def record(self) -> MessageRecord:
-        return self._record
-
-    @property
     def buffer(self) -> bytearray:
         return self._record.buffer
 

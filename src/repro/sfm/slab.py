@@ -88,10 +88,6 @@ class Slab:
     def unpin(self, generation: int) -> None:
         self.allocator.unpin(self, generation)
 
-    @property
-    def pinned(self) -> bool:
-        return bool(self.pins)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Slab #{self.slab_id} {self.class_bytes}B "
                 f"gen={self.generation} {self.state} pins={self.pins}>")

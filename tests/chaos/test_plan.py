@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.chaos import FaultPlan
 from repro.ros.transport import shm, tcpros
 
 
@@ -179,6 +180,10 @@ def test_uninstall_restores_passthrough(plan_factory):
         assert wrapped is left
         wrapped.sendall(b"fine")
         assert right.recv(4) == b"fine"
+        # A plan used as a context manager is installed for its block.
+        with FaultPlan(seed=0):
+            assert tcpros.wrap_socket(left, "tcpros") is not left
+        assert tcpros.wrap_socket(left, "tcpros") is left
     finally:
         left.close()
         right.close()

@@ -87,6 +87,10 @@ def test_get_system_state_merges_across_shards(plane):
     assert services == []
     assert proxy.lookup_service("/t", "/camera/set_exposure") == \
         "rosrpc://s:1/"
+    proxy.unregister_service("/srv", "/camera/set_exposure",
+                             "rosrpc://s:1/")
+    with pytest.raises(MasterError, match="no provider"):
+        proxy.lookup_service("/t", "/camera/set_exposure")
 
     types = dict(proxy.get_topic_types("/t"))
     assert types["/tf"] == "std_msgs/String"

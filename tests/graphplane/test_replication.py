@@ -27,6 +27,7 @@ def test_log_records_are_dense_and_wire_roundtrippable():
     assert [record.seq for record in log.since(0)] == [1, 2, 3, 4, 5]
     assert [record.seq for record in log.since(3)] == [4, 5]
     assert log.since(5) == []
+    assert len(log) == 5
     record = log.since(0)[2]
     assert LogRecord.from_wire(record.to_wire()) == record
 
@@ -47,13 +48,12 @@ def test_apply_record_replays_into_a_plain_registry():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def pair():
-    leader = ShardLeader(shard_index=0)
-    replica = ShardReplica(leader_uri=leader.uri, shard_index=0,
-                           probe_interval=0.05, probe_failures=3)
-    leader.attach_replica(replica.uri)
-    yield leader, replica
-    replica.shutdown()
-    leader.shutdown()
+    with ShardLeader(shard_index=0) as leader, ShardReplica(
+        leader_uri=leader.uri, shard_index=0, probe_interval=0.05,
+        probe_failures=3,
+    ) as replica:
+        leader.attach_replica(replica.uri)
+        yield leader, replica
 
 
 def _register(leader, topic, uri="http://x:1/"):

@@ -142,6 +142,30 @@ class TestExperimentsQuick:
         assert "ROS" in text
 
 
+    def test_paper_run_prints_every_figure_and_writes_json(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``python -m repro.bench.paper_run`` at a two-iteration scale:
+        every figure and table in the paper's shape, plus the JSON."""
+        import json
+
+        from repro.bench import paper_run
+
+        monkeypatch.setitem(paper_run.SCALES, "quick", (2, 1, 2, 200.0))
+        path = tmp_path / "paper.json"
+        assert paper_run.main(["--quick", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        for title in ("Fig. 13", "Fig. 14", "Fig. 16", "Fig. 18", "Table 1"):
+            assert title in out
+        doc = json.loads(path.read_text())
+        assert doc["scale"] == "quick"
+        for workload in doc["fig13_intra_machine"].values():
+            assert {cell["count"] for cell in workload.values()} == {2}
+        assert set(doc["fig18_orbslam"]) == {"ROS", "ROS-SF"}
+        assert set(doc["fig18_orbslam"]["ROS"]) == {
+            "pose", "pointcloud", "debug_image"}
+
+
 class TestAllocatorTuning:
     def test_tuning_idempotent(self):
         from repro.bench.allocator import tune_for_large_messages

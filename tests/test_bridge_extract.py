@@ -113,6 +113,8 @@ def test_fixed_array_and_time_extraction(rich_class, rich_buffer):
     assert values["quad"] == bytes([10, 11, 12, 13])
     assert values["triple"] == [0, -1, -2]
     assert values["stamp"] == [99, 100]
+    # The message's own (unaligned) time accessor reads the same value.
+    assert rich_class.from_buffer(rich_buffer).stamp == (99, 100)
 
 
 def test_map_and_nested_vector_extraction(rich_class, rich_buffer):

@@ -159,3 +159,12 @@ def test_time_values_validated():
         dict_to_msg({"data": 5}, Time)
     with pytest.raises(ConversionError):
         dict_to_msg({"data": [1, 2, 3]}, Time)
+
+
+def test_nested_field_holding_a_non_message_rejected():
+    Pose = generate_message_class("geometry_msgs/PoseStamped",
+                                  default_registry)
+    msg = Pose()
+    msg.pose = {"position": {"x": 1.0}}
+    with pytest.raises(ConversionError, match="cannot convert dict"):
+        msg_to_dict(msg)

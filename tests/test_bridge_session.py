@@ -12,6 +12,7 @@ import pytest
 
 from repro.bridge import protocol
 from repro.bridge import server as server_mod
+from repro.bridge.client import BridgeClient, BridgeError
 from repro.bridge.protocol import TAG_JSON, LengthPrefixed
 from repro.bridge.server import BridgeServer, Policy
 from repro.bridge.ws import ServerSentEvents, WebSocket, WsBridgeClient
@@ -19,6 +20,7 @@ from repro.msg import library as L
 from repro.msg.registry import default_registry
 from repro.ros import reactor as reactor_mod
 from repro.ros.graph import RosGraph
+from repro.ros.introspection import topic_info
 from repro.ros.retry import wait_until
 from repro.sfm.generator import generate_sfm_class
 
@@ -151,8 +153,9 @@ def _stall_until_evicted(graph, server, name: str) -> None:
                desc="evicted session gone")
 
 
-#: Burst 3: subscribe, advertise, subscribe pass; the fourth is refused.
-POLICY = Policy(rate_limits={"subscribe": (0.001, 3)}, queue_length=2,
+#: Burst 5: subscribe, advertise, subscribe and two unadvertises pass;
+#: the sixth is refused.
+POLICY = Policy(rate_limits={"subscribe": (0.001, 5)}, queue_length=2,
                 high_watermark=4, evict_strikes=3)
 
 #: What every framing must say, op for op.
@@ -167,6 +170,8 @@ EXPECTED = [
     {"op": "subscribe_ok", "id": "s2", "sid": 2, "topic": ECHO_TOPIC,
      "codec": "json", "mode": "full"},
     {"op": "publish", "sid": 2, "topic": ECHO_TOPIC, "msg": {"data": BIG}},
+    {"op": "status", "level": "error", "id": "u2",
+     "msg": f"{ECHO_TOPIC} is not advertised"},
     {"op": "status", "level": "warning", "id": "s3",
      "msg": "op 'subscribe' rate limited; retry later"},
 ]
@@ -228,6 +233,20 @@ def test_session_transcript_is_the_same_on_every_framing(graph, server, row):
         script.append(echoed[0])
         assert peer.fragments_in > 1
 
+        # A client status and a successful unadvertise get no reply; the
+        # session's only advertiser leaving takes the ROS publisher with
+        # it, and a second unadvertise is refused with its id echoed.
+        assert server.node.name in topic_info(
+            graph.master_uri, ECHO_TOPIC).publishers
+        peer.send({"op": "status", "id": "d1", "level": "info",
+                   "msg": "client diagnostics"})
+        peer.send({"op": "unadvertise", "id": "u1", "topic": ECHO_TOPIC})
+        peer.send({"op": "unadvertise", "id": "u2", "topic": ECHO_TOPIC})
+        script.append(peer.expect(id="u2"))
+        assert not [op for op in peer.ops if op.get("id") in ("d1", "u1")]
+        assert server.node.name not in topic_info(
+            graph.master_uri, ECHO_TOPIC).publishers
+
         peer.send(dict(SUBSCRIBE_ECHO, id="s3"))
         script.append(peer.expect(id="s3"))
         assert server.tally("subscribe", row) == 1
@@ -241,6 +260,27 @@ def test_session_transcript_is_the_same_on_every_framing(graph, server, row):
         peer.sock.close()
 
 
+def test_publisher_leaves_with_the_last_advertising_session(graph, server):
+    topic = "/session/shared"
+
+    def bridge_publishes() -> bool:
+        return server.node.name in topic_info(
+            graph.master_uri, topic).publishers
+
+    with BridgeClient(server.host, server.port) as first, \
+            BridgeClient(server.host, server.port) as second:
+        first.advertise(topic, "std_msgs/String")
+        second.advertise(topic, "std_msgs/String")
+        first.unadvertise(topic)
+        first.stats()  # answered after the unadvertise: one op queue
+        assert bridge_publishes()
+        with pytest.raises(BridgeError):
+            first.publish_raw(topic, b"")
+        second.unadvertise(topic)
+        second.stats()
+        assert not bridge_publishes()
+
+
 def test_session_transcript_deliver_only_steps_over_sse(graph, server):
     """SSE reads nothing: its subscriptions are made for it (as the front
     door does from the query string); what it delivers is the same."""
@@ -249,6 +289,7 @@ def test_session_transcript_deliver_only_steps_over_sse(graph, server):
     try:
         server.handle_op(session, SUBSCRIBE_IMAGE)
         assert peer.expect(id="s1") == EXPECTED[1]
+        peer.sock.sendall(b"whatever a browser sends is ignored")
         assert pub.wait_for_subscribers(1)
         pub.publish(_image(3, 4))
         assert peer.expect(op="publish", sid=1) == EXPECTED[2]

@@ -66,6 +66,32 @@ class TestStringReassignment:
         )
         assert kinds(report) == [STRING_REASSIGNMENT]
 
+    def test_annotated_variables_are_tracked(self):
+        report = analyze_source(
+            "def f(make):\n"
+            "    img: Image = Image()\n"
+            "    img.encoding = 'a'\n"
+            "    img.encoding = 'b'\n"
+            "    out: Image = make()\n"
+            "    out.encoding = 'c'\n"
+        )
+        assert sorted(v.detail for v in report.violations) == [
+            "assigned 2 times",
+            "assigned on a message returned by a call (already "
+            "constructed elsewhere)",
+        ]
+
+    def test_function_defined_inside_a_block_is_analyzed(self):
+        report = analyze_source(
+            "def f(flag):\n"
+            "    if flag:\n"
+            "        def helper():\n"
+            "            img = Image()\n"
+            "            img.encoding = 'a'\n"
+            "            img.encoding = 'b'\n"
+        )
+        assert kinds(report) == [STRING_REASSIGNMENT]
+
     def test_fig19_conversion_pattern(self):
         """The paper's first failure case: assignment after toImageMsg."""
         report = analyze_source(

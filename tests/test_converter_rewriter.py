@@ -49,6 +49,10 @@ class TestImportRewrite:
     def test_library_module_import_rewritten(self):
         out = rewrite_imports_to_sfm("from repro.msg import library\n")
         assert "messages()" in out
+        namespace: dict = {}
+        exec(out + "img = library.Image(height=4)\n", namespace)  # noqa: S102
+        assert isinstance(namespace["img"], SFMMessage)
+        assert namespace["img"].height == 4
 
 
 class TestGuidance:

@@ -57,7 +57,9 @@ class TestParseFieldType:
         assert parse_field_type("uint32") is PRIMITIVE_TYPES["uint32"]
 
     def test_string(self):
-        assert isinstance(parse_field_type("string"), StringType)
+        ftype = parse_field_type("string")
+        assert isinstance(ftype, StringType)
+        assert repr(ftype) == "StringType('string')"
 
     def test_variable_array(self):
         ftype = parse_field_type("uint8[]")
@@ -71,11 +73,17 @@ class TestParseFieldType:
         assert isinstance(ftype, ArrayType)
         assert ftype.length == 9
         assert ftype.is_fixed_size()
+        assert ftype.default_value() == [0.0] * 9
 
     def test_array_of_complex(self):
         ftype = parse_field_type("geometry_msgs/Point32[]")
-        assert isinstance(ftype.element_type, ComplexType)
-        assert ftype.element_type.name == "geometry_msgs/Point32"
+        element = ftype.element_type
+        assert isinstance(element, ComplexType)
+        assert element.name == "geometry_msgs/Point32"
+        # Only the registry can size a nested type; unresolved, it is
+        # variable-size and has no default of its own.
+        assert not element.is_fixed_size()
+        assert element.default_value() is None
 
     def test_header_alias(self):
         assert parse_field_type("Header", "sensor_msgs").name == "std_msgs/Header"
@@ -94,6 +102,8 @@ class TestParseFieldType:
         assert isinstance(ftype, MapType)
         assert isinstance(ftype.key_type, StringType)
         assert ftype.value_type.name == "uint32"
+        assert ftype.name == "map<string,uint32>"
+        assert not ftype.is_fixed_size()
         assert ftype.default_value() == {}
 
     def test_map_with_complex_value(self):

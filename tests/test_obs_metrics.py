@@ -22,6 +22,9 @@ class TestCounter:
         cell.inc()
         cell.inc(5)
         assert cell.value == 6
+        # An unlabelled family is its own instrument: the same cell.
+        errors.inc()
+        assert errors.value == cell.value == 7
 
     def test_labelled_children_are_independent(self, registry):
         seen = registry.counter("seen_total", "Seen.", labels=("topic",))
@@ -74,6 +77,9 @@ class TestGauge:
         cell.inc(2)
         cell.dec(5)
         assert cell.value == 7
+        depth.inc(3)
+        depth.dec()
+        assert depth.value == cell.value == 9
 
 
 class TestHistogram:
@@ -89,6 +95,8 @@ class TestHistogram:
         assert cell.bucket_counts() == [1, 1, 1, 1]
         assert cell.count == 4
         assert cell.sum == pytest.approx(0.0005 + 0.005 + 0.05 + 5.0)
+        lat.observe(0.0005)  # the family forwards to the same cell
+        assert cell.bucket_counts() == [2, 1, 1, 1]
 
     def test_boundary_value_counts_in_its_bucket(self, registry):
         lat = registry.histogram("h", "H.", buckets=(1.0, 2.0))

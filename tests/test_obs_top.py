@@ -8,11 +8,15 @@ import time
 
 import pytest
 
-from repro.bridge.server import resolve_msg_class
+from repro.bridge.client import BridgeClient
+from repro.bridge.server import BridgeServer, resolve_msg_class
+from repro.bridge.ws import WsBridgeClient
 from repro.msg.library import String
 from repro.msg.registry import default_registry
-from repro.obs.top import TopMonitor, _human_bytes
+from repro.obs.statistics import StatisticsPublisher
+from repro.obs.top import TopMonitor, _human_bytes, render_bridge_clients
 from repro.ros.graph import RosGraph
+from repro.ros.retry import wait_until
 
 
 def test_human_bytes_units():
@@ -85,3 +89,40 @@ class TestTopMonitor:
             text = out.getvalue()
             assert "TOPIC" in text
             assert "/quiet" in text
+
+    def test_shows_what_statistics_publishers_report(self):
+        with RosGraph() as graph:
+            reporter = graph.node("reporter")
+            with StatisticsPublisher(reporter, interval=0.1), \
+                    TopMonitor(graph.master_uri) as monitor:
+
+                def reported() -> bool:
+                    monitor.refresh_topics()
+                    return "/reporter" in monitor.node_reports
+
+                wait_until(reported, desc="/statistics document tapped")
+                rendered = monitor.render(monitor.sample())
+        assert "/statistics" not in rendered  # a report, not a topic row
+        assert "node /reporter: " in rendered
+        assert "live records (reported)" in rendered
+
+
+def test_bridge_client_table_has_one_row_per_live_session():
+    with RosGraph() as graph, BridgeServer(graph.master_uri) as server:
+        frontend = server.enable_ws()
+        with BridgeClient(server.host, server.port) as tcp, \
+                WsBridgeClient(server.host, frontend.port):
+            tcp.subscribe("/top/table", "std_msgs/String",
+                          lambda msg, meta: None)
+            table = render_bridge_clients(server.stats_snapshot())
+        wait_until(lambda: server.stats_snapshot()["clients"] == 0,
+                   desc="clients gone")
+        empty = render_bridge_clients(server.stats_snapshot())
+    header, *rows, summary = table.splitlines()
+    assert header.split() == ["CLIENT", "TRANSPORT", "CODEC", "SUBS",
+                              "QDEPTH", "DROPS", "SHED"]
+    assert sorted((row.split()[1], row.split()[3]) for row in rows) == [
+        ("tcp", "1"), ("ws", "0")]
+    assert summary.startswith("bridge: 2 client(s) tcp=1 ws=1")
+    assert "ws[handshakes=1 " in summary
+    assert empty.splitlines()[1] == "(no bridge clients)"

@@ -131,8 +131,10 @@ class TestTracerUnit:
         t = Tracer(capacity=4)
         t.start()
         for i in range(10):
-            t.record("publish", i + 1, 0, 1)
+            t.record("publish", i + 1, 0, 1_500)
         assert len(t.spans()) == 4
+        assert repr(t.spans()[-1]) == (
+            "Span('publish', id=0xa, dur=1.5us, args={})")
 
     def test_untraced_publish_records_nothing(self, traced):
         tracer.stop()

@@ -274,8 +274,12 @@ class TestScheduling:
             assert addr[0] == "127.0.0.1"
             conn.close()
             client.close()
+            assert acceptor.stats() == {"label": "test-accept",
+                                        "listening": True}
         finally:
             acceptor.close()
+        assert acceptor.stats()["listening"] is False
+        assert acceptor.link_state == "dead"
 
 
 def test_global_reactor_is_a_singleton():

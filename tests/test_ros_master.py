@@ -1,5 +1,6 @@
 """Tests for the master registry and its XML-RPC surface."""
 
+import os
 import xmlrpc.client
 
 import pytest
@@ -76,3 +77,4 @@ class TestMasterOverXmlRpc:
             code, status, value = raw.getSystemState("/caller")
             assert code == 1
             assert isinstance(value, list) and len(value) == 3
+            assert raw.getPid("/caller") == [1, "pid", os.getpid()]

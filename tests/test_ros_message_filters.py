@@ -12,6 +12,7 @@ from repro.ros.message_filters import (
     FilterSubscriber,
     TimeSynchronizer,
 )
+from repro.ros.retry import wait_until
 
 
 class _FakeSource:
@@ -176,6 +177,10 @@ class TestFilterSubscriberIntegration:
                 rgb_pub.publish(_stamped(*stamp, seq=seq))
             assert done.wait(10)
             assert pairs == [(0, 0), (1, 1), (2, 2)]
+            rgb.unsubscribe()
+            wait_until(lambda: rgb_pub.get_num_connections() == 0,
+                       desc="unsubscribed input's link closed")
+            assert depth_pub.get_num_connections() == 1
 
 
 class TestLatchedTopics:

@@ -58,10 +58,13 @@ class TestTime:
         assert t + d == Time(11, 500_000_000)
         assert (t + d) - t == d
         assert t - d == Time(8, 500_000_000)
+        assert d + d == Duration(3, 0)
+        assert d - Duration(2, 0) == Duration(0, -500_000_000)
 
     def test_iterable_as_wire_tuple(self):
         secs, nsecs = Time(3, 4)
         assert (secs, nsecs) == (3, 4)
+        assert tuple(Duration(3, 4)) == (3, 4)
 
     def test_from_to_sec(self):
         assert Time.from_sec(1.25).to_sec() == pytest.approx(1.25)

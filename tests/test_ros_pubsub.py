@@ -1,8 +1,10 @@
 """Integration tests for the full pub/sub middleware."""
 
+import os
 import socket
 import threading
 import time
+import xmlrpc.client
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -366,6 +368,74 @@ class TestQueueing:
             for ring in rings:
                 ring.close()
 
+    @pytest.mark.parametrize("transport", ["TCPROS", "TZC", "SHMROS"])
+    def test_inbound_link_lifecycle(self, graph, transport):
+        """The inbound half of the Link protocol -- what the spine's
+        "never silently measure a fallback" guard reads: the ``stats()``
+        key set, a transport label agreeing with the publisher's side of
+        the same connection, and ``link_state``/``fileno()`` across
+        close."""
+        SString, = sfm_classes_for("std_msgs/String")
+        msg_class = L.String if transport == "TCPROS" else SString
+        shmros = transport == "SHMROS"
+        topic = f"/inbound/{transport}"
+        pub_node = graph.node(f"inbound_pub_{transport}", shmros=shmros)
+        sub_node = graph.node(f"inbound_sub_{transport}", shmros=shmros)
+        try:
+            sub = sub_node.subscribe(topic, msg_class, lambda msg: None)
+            pub = pub_node.advertise(topic, msg_class)
+            assert pub.wait_for_subscribers(1)
+            assert sub.wait_for_publishers(1)
+            inbound, = sub.links()
+            outbound, = pub.links()
+            stats = inbound.stats()
+            assert set(stats) == {"transport", "publisher", "stale_drops",
+                                  "rx_bytes", "traced", "link_state"}
+            assert stats["transport"] == transport
+            assert stats["transport"] == outbound.stats()["transport"]
+            assert stats["publisher"] == pub_node.uri
+            assert inbound.link_state == stats["link_state"] == "healthy"
+            assert inbound.fileno() >= 0 and outbound.fileno() >= 0
+            inbound.close()
+            assert inbound.link_state == inbound.stats()["link_state"] == "dead"
+            assert inbound.fileno() == -1
+        finally:
+            pub_node.shutdown()
+            sub_node.shutdown()
+
+
+class TestKeepalive:
+    @pytest.mark.parametrize("transport", ["TCPROS", "SHMROS"])
+    def test_idle_link_carries_keepalives(self, graph, transport):
+        """Nothing is published, yet the subscriber keeps hearing from an
+        idle link: the publisher's keepalive is what its idle timeout
+        measures against."""
+        shmros = transport == "SHMROS"
+        knobs = dict(shmros=shmros, link_keepalive=0.05)
+        pub_node = graph.node(f"keepalive_pub_{transport}", **knobs)
+        sub_node = graph.node(f"keepalive_sub_{transport}", **knobs)
+        try:
+            sub = sub_node.subscribe("/keepalive", L.UInt32, lambda m: None)
+            pub = pub_node.advertise("/keepalive", L.UInt32)
+            assert pub.wait_for_subscribers(1)
+            assert sub.wait_for_publishers(1)
+            inbound, = sub.links()
+            assert inbound.stats()["transport"] == transport
+            heard = [inbound.stats()["rx_bytes"]]
+
+            def three_more_keepalives() -> bool:
+                rx_bytes = inbound.stats()["rx_bytes"]
+                if rx_bytes > heard[-1]:
+                    heard.append(rx_bytes)
+                return len(heard) > 3
+
+            wait_until(three_more_keepalives, desc="keepalives on idle link")
+            assert pub.published_count == 0
+            assert sub.links() == [inbound] and sub.retries == 0
+        finally:
+            pub_node.shutdown()
+            sub_node.shutdown()
+
 
 class TestShutdown:
     def test_node_shutdown_unregisters(self):
@@ -375,6 +445,36 @@ class TestShutdown:
             assert g.master.registry.publishers_of("/temp_topic")
             node.shutdown()
             assert not g.master.registry.publishers_of("/temp_topic")
+
+    def test_handles_are_context_managers(self):
+        from repro.ros.exceptions import NodeShutdownError
+
+        with RosGraph() as g:
+            registry = g.master.registry
+
+            def registered():
+                publishers, subscribers, _ = registry.system_state()
+                return publishers + subscribers
+
+            with g.node("scoped") as node:
+                with node.advertise("/scoped", L.UInt32), \
+                        node.subscribe("/scoped", L.UInt32, lambda m: None):
+                    assert registered() == [["/scoped", ["/scoped"]]] * 2
+                assert registered() == []
+            with pytest.raises(NodeShutdownError):
+                node.advertise("/scoped", L.UInt32)
+
+    def test_slave_api_reports_pid_and_shuts_the_node_down(self):
+        with RosGraph() as g:
+            node = g.node("remote_control")
+            node.advertise("/remote_topic", L.UInt32)
+            slave = xmlrpc.client.ServerProxy(node.uri, allow_none=True)
+            assert slave.getPid("/caller") == [1, "pid", os.getpid()]
+            assert slave.shutdown("/caller", "test")[0] == 1
+            wait_until(
+                lambda: not g.master.registry.publishers_of("/remote_topic"),
+                desc="node shut down over its slave API",
+            )
 
     def test_operations_after_shutdown_rejected(self):
         from repro.ros.exceptions import NodeShutdownError

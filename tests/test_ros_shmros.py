@@ -106,6 +106,125 @@ class TestRing:
         assert grown & (grown - 1) == 0  # power of two
         assert shm.next_slot_bytes(64, 16) == 128
 
+    def test_attaching_a_foreign_segment_leaves_it_to_its_owner(
+        self, monkeypatch
+    ):
+        """A reader must not let the resource tracker unlink a segment
+        another process created when the reader's process exits."""
+        from multiprocessing import resource_tracker
+
+        unregistered = []
+        monkeypatch.setattr(
+            resource_tracker, "unregister",
+            lambda name, rtype: unregistered.append((name, rtype)),
+        )
+        ring = shm.ShmRingWriter(slot_count=1, slot_bytes=64)
+        try:
+            shm.ShmRingReader(ring.name, 1, 64).close()
+            assert unregistered == []  # our own segment
+            monkeypatch.setattr(shm, "_local_segments", set())
+            shm.ShmRingReader(ring.name, 1, 64).close()
+            assert len(unregistered) == 1
+            name, rtype = unregistered[0]
+            assert name.endswith(ring.name) and rtype == "shared_memory"
+        finally:
+            monkeypatch.undo()
+            ring.close()
+
+
+class TestStickySlots:
+    """``write_update``: a republished key rewrites its sticky slot in
+    place once acknowledged, moves (copy-on-write) while a reader still
+    holds it, and at most a quarter of the ring stays sticky."""
+
+    SLOTS = 8
+    PREFIX = 16
+
+    @pytest.fixture
+    def ring(self):
+        ring = shm.ShmRingWriter(slot_count=self.SLOTS, slot_bytes=256)
+        yield ring
+        ring.close()
+
+    @staticmethod
+    def assert_partition(ring) -> None:
+        """Free, busy and idle-sticky slots partition the ring."""
+        free = list(ring._free)
+        busy = set(ring._busy)
+        idle_sticky = ring._sticky_slots - busy
+        assert len(free) == len(set(free))
+        assert not set(free) & busy
+        assert not set(free) & idle_sticky
+        assert sorted(free + list(busy) + list(idle_sticky)) == list(
+            range(ring.slot_count))
+
+    def publish(self, ring, key, fill: int, readers=("sub",)):
+        """Republish ``key``: the skeleton and the tail change, the middle
+        is stable."""
+        payload = bytes([fill]) * 64
+        placed = ring.write_update(payload, readers, key,
+                                   prefix=self.PREFIX, stable=48)
+        self.assert_partition(ring)
+        return placed
+
+    def release(self, ring, placed, reader="sub") -> None:
+        slot, seq, _size = placed
+        assert ring.release(slot, seq, reader)
+        self.assert_partition(ring)
+
+    def test_acked_republish_rewrites_the_same_slot_in_place(self, ring):
+        first = self.publish(ring, "k", 1)
+        assert ring.delta_writes == 0  # first publish: a full copy
+        self.release(ring, first)
+        second = self.publish(ring, "k", 2)
+        assert second[0] == first[0]
+        assert second[1] != first[1]
+        assert ring.delta_writes == 1
+        assert ring.delta_bytes == self.PREFIX + (64 - 48)
+        reader = shm.ShmRingReader(ring.name, self.SLOTS, 256)
+        try:
+            view = reader.payload_view(second[0], second[2])
+            assert bytes(view[:self.PREFIX]) == b"\x02" * self.PREFIX
+            assert bytes(view[self.PREFIX:48]) == b"\x01" * 32  # untouched
+            assert bytes(view[48:]) == b"\x02" * 16
+            del view
+        finally:
+            reader.close()
+
+    def test_unacked_republish_moves_and_frees_on_last_release(self, ring):
+        held = self.publish(ring, "k", 1, readers=("a", "b"))
+        moved = self.publish(ring, "k", 2)
+        assert moved[0] != held[0]
+        assert ring.delta_writes == 0
+        self.release(ring, held, "a")
+        assert held[0] not in ring._free
+        self.release(ring, held, "b")
+        assert held[0] in ring._free  # no longer sticky: back in the pool
+        self.release(ring, moved)
+        assert moved[0] not in ring._free  # the key's new sticky slot
+
+    def test_least_recently_used_sticky_slot_is_evicted(self, ring):
+        cap = self.SLOTS // 4
+        placed = {}
+        for key in range(cap):
+            placed[key] = self.publish(ring, key, key)
+            self.release(ring, placed[key])
+        # Republishing key 0 in place makes key 1 the least recently used.
+        placed[0] = self.publish(ring, 0, 9)
+        self.release(ring, placed[0])
+        assert ring.delta_writes == 1
+        placed[cap] = self.publish(ring, cap, cap)
+        self.release(ring, placed[cap])
+        assert placed[1][0] in ring._free
+        assert ring._sticky_slots == {placed[0][0], placed[cap][0]}
+        # The evicted key starts over with a full copy (evicting key 0,
+        # now the least recent); the newest key still deltas.
+        self.release(ring, self.publish(ring, 1, 1))
+        assert ring.delta_writes == 1
+        assert placed[0][0] in ring._free
+        self.release(ring, self.publish(ring, cap, 0))
+        assert ring.delta_writes == 2
+
 
 class TestDoorbellFrames:
     @staticmethod
@@ -242,6 +361,28 @@ class TestShmrosGraph:
             assert done.wait(10)
             assert [l.transport for l in sub._links.values()] == ["SHMROS"]
         assert received == [bytes(range(12))]
+
+    def test_codec_without_decode_external_copies_the_slot(self):
+        """A codec that implements only ``decode`` can still read slots:
+        the protocol's default ``decode_external`` hands it a private
+        copy of the borrowed view, never the view itself."""
+        from repro.ros.codecs import MessageCodec, RosCodec
+
+        ros = RosCodec(L.UInt32)
+        decoded = []
+
+        class DecodeOnly(MessageCodec):
+            def decode(self, buffer):
+                decoded.append(buffer)
+                return ros.decode(buffer)
+
+        payload, _release = ros.encode(L.UInt32(data=7))
+        slot = bytearray(payload)
+        assert DecodeOnly().decode_external(memoryview(slot)).data == 7
+        buffer, = decoded
+        assert isinstance(buffer, bytearray) and buffer == slot
+        slot[:] = bytes(len(slot))  # the slot is reused
+        assert buffer == payload
 
     def test_reseg_grows_slots_for_large_payloads(self):
         SImage, = sfm_classes_for("sensor_msgs/Image")

@@ -1,13 +1,24 @@
-"""Tests for the CLI tools (driven through main(argv))."""
+"""Tests for the CLI tools (driven through main(argv), and as a
+process for the commands that serve until interrupted)."""
 
+import os
+import queue
+import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.graphplane import GraphPlane, RouteD, format_spec
 from repro.msg import library as L
 from repro.ros import BagWriter, RosGraph
+from repro.ros.node import NodeHandle
+from repro.ros.retry import wait_until
 from repro.ros.tools import main
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +219,104 @@ class TestMsgAndSfmCommands:
 
 
 class TestConfigCommand:
-    def test_config_json_lists_exactly_the_six_switches(self, capsys):
+    def test_config_json_lists_exactly_the_five_switches(self, capsys):
         import json
 
         assert main(["config", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert [row["name"] for row in rows] == [
-            "REPRO_TZC", "REPRO_SHMROS", "REPRO_TRANSPORT_PLANNER",
+            "REPRO_TZC", "REPRO_SHMROS",
             "REPRO_OBS", "REPRO_OBS_WIRE", "REPRO_SOAK",
         ]
+
+
+class TestGraphCommand:
+    def test_dump_lag_and_routes(self, capsys):
+        with GraphPlane(shards=2) as plane, \
+                RouteD(name="tools_routed") as routed:
+            node = NodeHandle("graph_tools", plane.spec)
+            try:
+                node.advertise("/graph/topic", L.UInt32)
+                wait_until(
+                    lambda: main(["graph", "lag", "--master", plane.spec]) == 0,
+                    desc="replicas caught up",
+                )
+                out = capsys.readouterr().out
+                assert "shard 0: replication lag 0 record(s)" in out
+                assert "shard 1: replication lag 0 record(s)" in out
+
+                # Shard 0 answered by its replica, shard 1 by its leader.
+                spec = format_spec([
+                    [plane.replicas[0].uri, plane.leaders[0].uri],
+                    [plane.leaders[1].uri],
+                ])
+                assert main(["graph", "dump", "/graph/topic",
+                             "--master", spec]) == 0
+                out = capsys.readouterr().out
+                assert f"shard 0: replica at {plane.replicas[0].uri}" in out
+                assert "  applied_seq: " in out
+                assert f"shard 1: leader at {plane.leaders[1].uri}" in out
+                assert f"  replica_uri: {plane.replicas[1].uri}" in out
+                owner = plane.shard_for("/graph/topic")
+                assert f"/graph/topic -> shard {owner}" in out
+            finally:
+                node.shutdown()
+
+            routed.add_route(("127.0.0.1", 1111), ("127.0.0.1", 2222))
+            assert main(["graph", "routes", "--routed",
+                         routed.admin_uri]) == 0
+            out = capsys.readouterr().out
+            assert "routed 'tools_routed' listening on" in out
+            assert "  127.0.0.1:1111 via 127.0.0.1:2222" in out
+            assert "mux links:" in out
+
+
+def _serve_until_interrupted(args: list, banner: str) -> str:
+    """Run ``tools ARGS`` as a process, wait for the stdout line starting
+    with ``banner``, send SIGINT, and require exit status 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.ros.tools", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        lines: queue.Queue = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(line) for line in proc.stdout],
+            daemon=True,
+        )
+        reader.start()
+        seen = []
+        try:
+            while not seen or not seen[-1].startswith(banner):
+                seen.append(lines.get(timeout=60))
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        reader.join(timeout=10)
+        err = proc.stderr.read()
+    assert proc.returncode == 0, err
+    return "".join(seen)
+
+
+class TestServingCommands:
+    def test_graph_launch_serves_until_interrupted(self):
+        out = _serve_until_interrupted(
+            ["graph", "launch", "--shards", "1", "--no-replicas",
+             "--routed"],
+            "routed 'routed' listening on",
+        )
+        assert "graph plane up: 1 shard(s)" in out
+        assert "spec: http://127.0.0.1:" in out
+
+    def test_bridge_serves_until_interrupted(self):
+        with RosGraph() as graph:
+            out = _serve_until_interrupted(
+                ["bridge", "--master", graph.master_uri, "--port", "0",
+                 "--ws-port", "0"],
+                "bridge listening on",
+            )
+        assert "websocket front door at ws://127.0.0.1:" in out

@@ -75,6 +75,7 @@ class TestAccess:
         view = fmt.wrap("sensor_msgs/Image", fmt.serialize(img))
         header = view.get("header")
         assert isinstance(header, TableView)
+        assert repr(header).startswith("<TableView std_msgs/Header @")
         assert header.get("frame_id") == "base"
         assert header.get("stamp") == (9, 10)
 

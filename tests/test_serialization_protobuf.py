@@ -89,6 +89,23 @@ class TestEncoding:
         back = local.deserialize("pkg/Neg", local.serialize(msg))
         assert (back.a, back.b) == (-5, -(2**40))
 
+    def test_map_roundtrip_and_time_arrays_rejected(self, fresh_registry):
+        from repro.msg.generator import generate_message_class
+
+        fresh_registry.register_text("pkg/Tagged", "map<string,uint32> tags\n")
+        fresh_registry.register_text("pkg/Stamps", "time[] stamps\n")
+        local = ProtoBufFormat(fresh_registry)
+        tagged = generate_message_class("pkg/Tagged", fresh_registry)
+        msg = tagged(tags={"a": 1, "b": 2})
+        back = local.deserialize("pkg/Tagged", local.serialize(msg))
+        assert back.tags == {"a": 1, "b": 2}
+        # Neither direction has an encoding for repeated time values.
+        stamps = generate_message_class("pkg/Stamps", fresh_registry)
+        with pytest.raises(TypeError, match="unsupported array element"):
+            local.serialize(stamps(stamps=[(1, 2)]))
+        with pytest.raises(TypeError, match="unsupported array element"):
+            local.deserialize("pkg/Stamps", b"")
+
     def test_unknown_field_skipped(self, fmt):
         # Encode an Image, then prepend an unknown varint field (tag 15).
         img = L.Image(height=1)

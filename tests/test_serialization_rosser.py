@@ -84,6 +84,26 @@ class TestRoundTrips:
         assert back.tags == {"a": 1, "b": 2}
 
 
+    def test_fixed_byte_and_string_arrays(self, fresh_registry):
+        fresh_registry.register_text("pkg/Fixed",
+                                     "uint8[4] tag\nstring[2] names\n")
+        cls = generate_message_class("pkg/Fixed", fresh_registry)
+        ser = ROSSerializer(fresh_registry)
+        wire = ser.serialize(cls(tag=b"\x01\x02\x03\x04", names=["a", "bc"]))
+        # Fixed arrays carry no length prefix; their strings still do.
+        assert wire == (b"\x01\x02\x03\x04" + b"\x01\x00\x00\x00a"
+                        + b"\x02\x00\x00\x00bc")
+        back = ser.deserialize("pkg/Fixed", wire)
+        assert bytes(back.tag) == b"\x01\x02\x03\x04"
+        assert back.names == ["a", "bc"]
+
+    def test_only_serialization_free_formats_wrap(self, ser):
+        assert repr(ser) == "<WireFormat ROS>"
+        with pytest.raises(NotImplementedError,
+                           match="ROS is not a serialization-free format"):
+            ser.wrap("std_msgs/UInt32", ser.serialize(L.UInt32(data=1)))
+
+
 class TestErrors:
     def test_trailing_bytes_rejected(self, ser):
         wire = ser.serialize(L.UInt32(data=1)) + b"\x00"

@@ -92,6 +92,7 @@ class TestAccess:
         header = view.get("header")
         assert header.get("seq") == 11
         assert header.get("frame_id") == "odom"
+        assert view.to_plain() == img  # copy-out into the plain class
 
 
 class TestRoundTrip:

@@ -116,6 +116,14 @@ def _plain_fields(msg) -> dict:
     }
 
 
+def _scalar_fields(msg) -> dict:
+    """Every primitive slot read through the class's own accessors."""
+    return {
+        slot.name: getattr(msg, slot.name)
+        for slot in msg._layout.slots if slot.kind == "primitive"
+    }
+
+
 def _raised(callable_) -> type | None:
     try:
         callable_()
@@ -145,6 +153,7 @@ class TestAccessorParity:
         assert bytes(readopted_slow.to_wire()) == wire
         assert bytes(readopted_fast.to_wire()) == wire
         assert _plain_fields(readopted_fast) == _plain_fields(readopted_slow)
+        assert _scalar_fields(readopted_fast) == _scalar_fields(slow)
 
     @pytest.mark.parametrize("type_name", ALL_TYPES)
     def test_big_endian_adoption_parity(self, type_name):

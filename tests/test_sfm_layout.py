@@ -21,6 +21,8 @@ class TestSkeletonSizes:
         # Fig. 7: encoding (8) + height (4) + width (4) + data (8) = 24.
         layout = layout_for("rossf_bench/SimpleImage")
         assert layout.skeleton_size == 24
+        assert repr(layout).startswith(
+            "<SkeletonLayout rossf_bench/SimpleImage skeleton=24B")
         offsets = {slot.name: slot.offset for slot in layout.slots}
         assert offsets == {"encoding": 0, "height": 8, "width": 12, "data": 16}
 

@@ -138,9 +138,9 @@ class TestLifecycle:
 
     def test_pointer_release_idempotent(self, manager, image_layout):
         record = manager.allocate(image_layout, capacity=64)
-        pointer = manager.publish(record)
-        pointer.release()
-        pointer.release()  # no double decrement
+        with manager.publish(record) as pointer:
+            assert record.buffer_refs == 2
+        pointer.release()  # the block already released it: no double decrement
         assert record.state is MessageState.PUBLISHED
         manager.release_object(record)
         assert record.state is MessageState.DESTRUCTED

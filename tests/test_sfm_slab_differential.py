@@ -19,20 +19,16 @@ Three fixed seeds run in tier-1; ``REPRO_SOAK=1`` unlocks the 100-seed
 soak (the CI nightly's job).
 """
 
-import os
 import random
 
 import pytest
 
+from repro import config
 from repro.sfm.generator import sfm_class_for
 from repro.sfm.manager import MessageManager
 from repro.sfm.slab import SlabAllocator, size_class
 
-SEEDS = (
-    tuple(range(100))
-    if os.environ.get("REPRO_SOAK") == "1"
-    else (1, 2, 3)
-)
+SEEDS = tuple(range(100)) if config.soak() else (1, 2, 3)
 
 TYPE_NAME = "sensor_msgs/PointCloud2"
 
@@ -155,7 +151,7 @@ def test_differential_random_ops(seed):
     copy_side = _Side(slabs=False)
     holds: list[_Hold] = []
     last_generations: dict[int, int] = {}
-    steps = 60 if os.environ.get("REPRO_SOAK") == "1" else 40
+    steps = 60 if config.soak() else 40
     for step in range(steps):
         op = _random_op(rng, step)
         if op[0] == "hold":
@@ -241,6 +237,8 @@ def test_reader_view_stable_across_promotion():
     assert manager.stats.slab_promotions == 1
     hold.maybe_freeze()
     assert hold.frozen is not None
+    assert f"gen={old_slab.generation} " in repr(old_slab)
+    assert "pins={}" not in repr(old_slab)  # the reader's pin shows
     hold.assert_stable()
     # Recycle pressure: churn allocations in the old class.  The pinned
     # slab must never be handed out again while the pin is live.

@@ -28,6 +28,7 @@ class TestSfmString:
         assert str(img.encoding) == ""
         assert not img.encoding
         assert len(img.encoding) == 0
+        assert img.encoding.empty()
 
     def test_str_interface(self, SimpleImage):
         img = SimpleImage()
@@ -36,6 +37,7 @@ class TestSfmString:
         assert enc == "rgb8"
         assert enc != "bgr8"
         assert enc.c_str() == "rgb8"
+        assert not enc.empty()
         assert enc.upper() == "RGB8"
         assert enc.startswith("rgb")
         assert enc[0] == "r"
@@ -82,7 +84,9 @@ class TestSfmString:
 class TestSfmVector:
     def test_resize_and_index(self, SimpleImage):
         img = SimpleImage()
+        assert not img.data
         img.data.resize(4)
+        assert img.data
         assert len(img.data) == 4
         assert list(img.data) == [0, 0, 0, 0]
         img.data[0] = 7
@@ -144,6 +148,10 @@ class TestSfmVector:
         scan.ranges = [1.0, 2.5, 3.25]
         assert list(scan.ranges) == [1.0, 2.5, 3.25]
         assert scan.ranges.asarray().sum() == pytest.approx(6.75)
+        typed = scan.ranges.typed()  # the stdlib zero-copy view
+        assert typed.format == "f" and list(typed) == [1.0, 2.5, 3.25]
+        typed[0] = 4.0
+        assert scan.ranges[0] == 4.0
 
     def test_vector_of_messages(self, PointCloud, registry):
         Point32 = generate_message_class("geometry_msgs/Point32")
@@ -171,6 +179,8 @@ class TestSfmVector:
         assert img.data == [1, 2]
         assert img.data == b"\x01\x02"
         assert img.data != [1, 2, 3]
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(img.data)
 
 
 class TestFixedArray:
@@ -281,6 +291,10 @@ class TestSfmMap:
         assert len(items) == 1
         key, value = items[0]
         assert key == "x" and value == 9
+        assert msg.tags.keys() == ["x"]
+        assert repr(msg.tags) == "sfm::map({'x': 9})"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(msg.tags)
 
     def test_missing_key_raises(self, Tagged):
         msg = Tagged()

@@ -62,6 +62,8 @@ def test_pipeline_end_to_end(kind, dataset):
             samples = result.latencies[output]
             assert len(samples) == len(dataset), output
             assert all(0 <= value < 10 for value in samples)
+            assert result.mean_ms(output) == pytest.approx(
+                1000.0 * sum(samples) / len(samples))
         assert pipeline.slam.frames_processed == len(dataset)
         assert len(pipeline.slam.map) > 0
 
